@@ -2,12 +2,17 @@
 
 The paper's economics argue that many light-weight groups amortize one
 heavy-weight group's machinery — membership, failure detection, flush.
-This module extends the amortization to the data path: every LWG
-``send()`` within a short flush window whose encapsulated ``LwgData``
-is bound for the *same* HWG is coalesced into a single
+This module extends the amortization to the data path: LWG ``send()``
+payloads bound for the *same* HWG that pile up while one of this
+process's sends is still being ordered there are coalesced into a single
 :class:`~repro.core.messages.LwgBatch` occupying one slot of the HWG's
 total order (one Publish, one Ordered multicast, one piggybacked ack),
 instead of one full protocol round-trip per payload.
+
+The packer is self-clocked (the Nagle / group-commit shape): on an idle
+HWG a payload goes out at once, and the buffer is released when our own
+outstanding send comes back delivered, so the batch size follows the
+ordering round-trip and no window needs tuning.
 
 Correctness rules (PROTOCOLS.md §15):
 
@@ -38,82 +43,65 @@ from .messages import MIXED_BATCH, LwgBatch, LwgData
 
 
 class BatchPacker:
-    """Per-HWG time- and byte-bounded coalescing of :class:`LwgData`.
+    """Per-HWG self-clocked, byte-bounded coalescing of :class:`LwgData`.
 
     ``transmit(hwg, message)`` forwards a flushed message (a raw
     ``LwgData`` for singleton flushes, an ``LwgBatch`` otherwise) to the
-    HWG's ordered channel; ``set_timer(delay_us, callback)`` arms the
-    flush-window timer.
+    HWG's ordered channel; ``in_flight(hwg)`` tells whether a send of
+    ours on ``hwg`` is still waiting to be delivered back to us.
     """
 
     def __init__(
         self,
         node: str,
         transmit: Callable[[HwgId, LwgData | LwgBatch], None],
-        set_timer: Callable[[int, Callable[[], None]], object],
-        window_us: int,
+        in_flight: Callable[[HwgId], bool],
         max_bytes: int,
     ):
         self.node = node
         self._transmit = transmit
-        self._set_timer = set_timer
-        self.window_us = window_us
+        self._in_flight = in_flight
         self.max_bytes = max_bytes
         self._buffers: Dict[HwgId, List[LwgData]] = {}
         self._buffered_bytes: Dict[HwgId, int] = {}
-        self._timer_armed: Dict[HwgId, bool] = {}
-        #: Per-HWG window generation.  Every flush (and crash reset)
-        #: bumps it; an armed timer captures the generation at arm time
-        #: and its firing is ignored if they no longer match, so a
-        #: byte-cap or control-message flush cannot leave a stale timer
-        #: that silently shortens the next batch's window.
-        self._timer_gen: Dict[HwgId, int] = {}
         self._batch_seq = 0
-        # Counters (surfaced through LwgStats by the service).
-        self.batches_sent = 0
-        self.entries_batched = 0
-        self.singleton_flushes = 0
 
     # ------------------------------------------------------------------
     # Enqueue / flush
     # ------------------------------------------------------------------
     def enqueue(self, hwg: HwgId, message: LwgData) -> None:
-        """Buffer ``message`` for ``hwg``; flush on byte cap, else arm timer."""
+        """Buffer ``message`` for ``hwg``; flush on an idle HWG or the byte cap."""
         buffer = self._buffers.setdefault(hwg, [])
         buffer.append(message)
         total = self._buffered_bytes.get(hwg, 0) + message.payload_size
         self._buffered_bytes[hwg] = total
-        if total >= self.max_bytes:
+        if total >= self.max_bytes or not self._in_flight(hwg):
             self.flush(hwg)
-            return
-        if not self._timer_armed.get(hwg, False):
-            self._timer_armed[hwg] = True
-            generation = self._timer_gen.get(hwg, 0)
-            self._set_timer(self.window_us, lambda: self._on_timer(hwg, generation))
 
-    def _on_timer(self, hwg: HwgId, generation: int) -> None:
-        if generation != self._timer_gen.get(hwg, 0):
-            return  # stale: the window this timer was arming already flushed
-        self.flush(hwg)
+    def release(self, hwg: HwgId) -> None:
+        """One of our sends on ``hwg`` was delivered: flush if none is left.
+
+        Liveness: a payload is only ever buffered behind one of our own
+        sends still in flight on ``hwg``.  That send is either delivered,
+        which lands here, or a view change starts and ``on_stop``
+        flushes — so no buffer outlives the ordering round it waits on.
+        """
+        if self._buffers.get(hwg) and not self._in_flight(hwg):
+            self.flush(hwg)
 
     def flush(self, hwg: HwgId) -> None:
         """Emit the pending buffer for ``hwg`` (no-op when empty)."""
         buffer = self._buffers.get(hwg)
         if not buffer:
             return
-        self._timer_armed[hwg] = False
-        self._timer_gen[hwg] = self._timer_gen.get(hwg, 0) + 1
         entries, self._buffers[hwg] = buffer, []
         self._buffered_bytes[hwg] = 0
         if len(entries) == 1:
             # No packing win for a singleton: send the bare LwgData and
             # skip the batch envelope (and the unpack accounting).
-            self.singleton_flushes += 1
             self._transmit(hwg, entries[0])
             return
         self._batch_seq += 1
-        self.batches_sent += 1
-        self.entries_batched += len(entries)
         lwgs = {entry.lwg for entry in entries}
         batch = LwgBatch(
             lwg=entries[0].lwg if len(lwgs) == 1 else MIXED_BATCH,
@@ -132,12 +120,6 @@ class BatchPacker:
         """Drop all buffered payloads (fail-stop crash semantics)."""
         self._buffers.clear()
         self._buffered_bytes.clear()
-        # Invalidate every armed window, not just clear the flags: a
-        # timer surviving the reset (or re-arming races around recovery)
-        # must not flush a post-recovery buffer early.
-        for hwg in self._timer_armed:
-            self._timer_gen[hwg] = self._timer_gen.get(hwg, 0) + 1
-        self._timer_armed.clear()
 
     def pending_entries(self, hwg: HwgId) -> int:
         return len(self._buffers.get(hwg, ()))

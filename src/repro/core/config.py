@@ -86,15 +86,12 @@ class LwgConfig:
     #: Default payload size assumed for user messages without one.
     default_payload_bytes: int = 256
     #: Data-path batching: coalesce LWG DATA payloads bound for the same
-    #: HWG into one multicast.  The window/byte cap bound the added
-    #: latency; batches also flush eagerly before any LWG control
-    #: message and before an HWG view change (the flush-before-view-
-    #: change rule, PROTOCOLS.md §15).
+    #: HWG into one multicast.  Self-clocked: a payload on an idle HWG
+    #: goes out at once, and only payloads sent while one of ours is
+    #: still being ordered wait (for its delivery); batches also flush
+    #: eagerly before any LWG control message and before an HWG view
+    #: change (the flush-before-view-change rule, PROTOCOLS.md §15).
     enable_batching: bool = True
-    #: How long the packer may hold the first buffered payload before
-    #: flushing.  Deliberately *not* scaled by :meth:`scaled` — it bounds
-    #: data latency, not protocol timeouts.
-    batch_window_us: int = 2_000
     #: Flush immediately once the buffered payload bytes reach this cap
     #: (keeps batches under transport datagram ceilings).
     batch_max_bytes: int = 16_384

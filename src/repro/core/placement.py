@@ -375,7 +375,14 @@ class PlacementOptimizer:
         slots, assign = self._seed(view, weights)
         self._refine(view, weights, slots, assign)
         plan_cost = self._total_cost(slots)
-        current_cost = self._current_cost(view, weights)
+        current_slots = self._current_slots(view, weights)
+        current_cost = self._total_cost(current_slots)
+        # The local search can settle in a worse optimum than where it
+        # started from; "change nothing" is always a candidate when the
+        # current assignment is fully known and feasible.
+        if current_cost < plan_cost and self._keeps_current(view, current_slots):
+            assign = {lwg: view.current[lwg] for lwg, _ in view.lwgs}
+            plan_cost = current_cost
         assignment = dict(sorted(assign.items()))
         fresh: Dict[str, List[LwgId]] = {}
         for lwg, key in assignment.items():
@@ -397,8 +404,10 @@ class PlacementOptimizer:
         max_load = max((s.total_load for s in slots.values()), default=0.0)
         return c.hwg_cost * chargeable + c.fanout_weight * fanout + c.skew_weight * max_load
 
-    def _current_cost(self, view: PlacementView, weights: Dict[LwgId, float]) -> float:
-        """Cost of the *current* assignment under the same projection."""
+    def _current_slots(
+        self, view: PlacementView, weights: Dict[LwgId, float]
+    ) -> Dict[str, _Slot]:
+        """The *current* assignment as slots, for the same cost projection."""
         slots = self._base_slots(view)
         for lwg, m in view.lwgs:
             cur = view.current.get(lwg)
@@ -409,7 +418,23 @@ class PlacementOptimizer:
                 slots[key].add(m, weights[lwg], changed=False)
             else:
                 slots[cur].add(m, weights[lwg], changed=False)
-        return self._total_cost(slots)
+        return slots
+
+    def _keeps_current(self, view: PlacementView, slots: Dict[str, _Slot]) -> bool:
+        """May the plan be the current assignment unchanged?
+
+        Only when every LWG rides a known anchor and every group it
+        rides meets the retention floor (nothing is moved in, so the
+        admission ceiling does not apply).
+        """
+        if any(view.current.get(lwg) is None for lwg, _ in view.lwgs):
+            return False
+        k_m = self.config.k_m
+        return all(
+            slot.min_size() * k_m > slot.union_size
+            for slot in slots.values()
+            if slot.lwg_count
+        )
 
     def _base_slots(self, view: PlacementView) -> Dict[str, _Slot]:
         return {

@@ -196,8 +196,7 @@ class LwgService:
         self.packer = BatchPacker(
             node=self.node,
             transmit=self._transmit_packed,
-            set_timer=stack.set_timer,
-            window_us=self.config.batch_window_us,
+            in_flight=self._hwg_in_flight,
             max_bytes=self.config.batch_max_bytes,
         )
         self._join_drivers: Dict[LwgId, JoinDriver] = {}
@@ -357,6 +356,11 @@ class LwgService:
         endpoint = self.ensure_hwg(hwg)
         endpoint.send(message, message.size_bytes())
 
+    def _hwg_in_flight(self, hwg: HwgId) -> bool:
+        """Packer clock: is a send of ours on ``hwg`` not yet delivered back?"""
+        endpoint = self.stack.endpoints.get(hwg)
+        return endpoint is not None and bool(endpoint.channel.pending)
+
     # ==================================================================
     # Helpers used across the service and its drivers
     # ==================================================================
@@ -442,6 +446,8 @@ class LwgService:
     # HWG upcalls
     # ==================================================================
     def _on_hwg_data(self, hwg: HwgId, src: str, payload: Any, size: int) -> None:
+        if src == self.node:
+            self.packer.release(hwg)
         if isinstance(payload, LwgData):
             self._on_lwg_data(hwg, payload)
         elif isinstance(payload, LwgBatch):
@@ -508,12 +514,13 @@ class LwgService:
             local.delivered += 1
             if message.sender == local.coordinator():
                 local.last_coordinator_heard = self.env.now
-            self.trace(
-                "lwg_data_delivered",
-                lwg=message.lwg,
-                view=str(local.view.view_id),
-                sender=message.sender,
-            )
+            if self.env.tracer.enabled("lwg"):
+                self.trace(
+                    "lwg_data_delivered",
+                    lwg=message.lwg,
+                    view=str(local.view.view_id),
+                    sender=message.sender,
+                )
             local.listener.on_data(
                 message.lwg, message.sender, message.payload, message.payload_size
             )

@@ -5,19 +5,20 @@ from repro.core.messages import MIXED_BATCH, LwgBatch, LwgData
 from repro.vsync.view import ViewId
 
 
-class FakeTimers:
-    """Manual-fire timer service recording (delay, callback) pairs."""
+class FakeChannel:
+    """Stands in for the HWG ordered channels: every transmit is in flight
+    until :meth:`deliver_all` hands it back."""
 
     def __init__(self):
-        self.armed = []
+        self.sent = []
+        self.in_flight = set()
 
-    def set_timer(self, delay, callback):
-        self.armed.append((delay, callback))
-        return object()
+    def transmit(self, hwg, msg):
+        self.sent.append((hwg, msg))
+        self.in_flight.add(hwg)
 
-    def fire(self, index=0):
-        _, callback = self.armed.pop(index)
-        callback()
+    def deliver_all(self, hwg):
+        self.in_flight.discard(hwg)
 
 
 def data(lwg="lwg:a", sender="p0", size=100, payload="x"):
@@ -27,99 +28,126 @@ def data(lwg="lwg:a", sender="p0", size=100, payload="x"):
     )
 
 
-def make_packer(timers, sent, window_us=1000, max_bytes=400):
+def make_packer(channel, max_bytes=400):
     return BatchPacker(
         node="p0",
-        transmit=lambda hwg, msg: sent.append((hwg, msg)),
-        set_timer=timers.set_timer,
-        window_us=window_us,
+        transmit=channel.transmit,
+        in_flight=lambda hwg: hwg in channel.in_flight,
         max_bytes=max_bytes,
     )
 
 
-def test_window_timer_flushes_batch():
-    timers, sent = FakeTimers(), []
-    packer = make_packer(timers, sent)
+def busy_packer(max_bytes=400, hwgs=("h1",)):
+    """A packer with one send already in flight on each of ``hwgs``."""
+    channel = FakeChannel()
+    packer = make_packer(channel, max_bytes)
+    for hwg in hwgs:
+        packer.enqueue(hwg, data(payload="first"))
+    channel.sent.clear()
+    return channel, packer
+
+
+def test_idle_enqueue_transmits_immediately():
+    channel = FakeChannel()
+    packer = make_packer(channel)
+    packer.enqueue("h1", data(payload="a"))
+    assert len(channel.sent) == 1
+    hwg, msg = channel.sent[0]
+    assert hwg == "h1" and isinstance(msg, LwgData) and msg.payload == "a"
+    assert packer.pending_entries("h1") == 0
+
+
+def test_enqueues_behind_a_pending_send_coalesce_in_send_order():
+    channel, packer = busy_packer()
     packer.enqueue("h1", data(payload="a"))
     packer.enqueue("h1", data(payload="b"))
-    assert sent == [] and len(timers.armed) == 1
-    timers.fire()
-    assert len(sent) == 1
-    batch = sent[0][1]
+    assert channel.sent == []
+    assert packer.pending_entries("h1") == 2
+    # A delivery of someone else's message leaves ours in flight.
+    packer.release("h1")
+    assert channel.sent == []
+
+
+def test_own_delivery_release_emits_one_batch():
+    channel, packer = busy_packer()
+    for payload in "abc":
+        packer.enqueue("h1", data(payload=payload))
+    channel.deliver_all("h1")
+    packer.release("h1")
+    assert len(channel.sent) == 1
+    batch = channel.sent[0][1]
     assert isinstance(batch, LwgBatch)
-    assert [e.payload for e in batch.entries] == ["a", "b"]
+    assert [e.payload for e in batch.entries] == ["a", "b", "c"]
+    # The batch is itself in flight: the next payload buffers behind it.
+    packer.enqueue("h1", data(payload="d"))
+    assert len(channel.sent) == 1 and packer.pending_entries("h1") == 1
 
 
 def test_byte_cap_flushes_immediately():
-    timers, sent = FakeTimers(), []
-    packer = make_packer(timers, sent, max_bytes=150)
+    channel, packer = busy_packer(max_bytes=150)
     packer.enqueue("h1", data(payload="a"))
     packer.enqueue("h1", data(payload="b"))  # 200 bytes >= cap
-    assert len(sent) == 1
+    assert len(channel.sent) == 1
+    assert [e.payload for e in channel.sent[0][1].entries] == ["a", "b"]
+    assert packer.pending_entries("h1") == 0
 
 
 def test_byte_cap_flush_disarms_window_timer():
-    """Regression: a byte-cap flush must not leave the timer armed.
+    """Regression: a byte-cap flush must leave no stale state behind.
 
-    Before the fix, the window timer armed by the first enqueue survived
-    a byte-cap flush; the next batch then inherited the stale deadline
-    and was flushed early (silently shortening its window), and no new
-    timer could be armed because the flag still read "armed".
+    The packer has no window timer any more; what stays is the rule the
+    timer bug broke: the batch after a byte-cap flush must neither leave
+    early (inherited byte count) nor get stuck. It waits behind the
+    capped batch and leaves when that batch is delivered back to us.
     """
-    timers, sent = FakeTimers(), []
-    packer = make_packer(timers, sent, max_bytes=150)
-    packer.enqueue("h1", data(payload="a"))  # arms timer
+    channel, packer = busy_packer(max_bytes=150)
+    packer.enqueue("h1", data(payload="a"))
     packer.enqueue("h1", data(payload="b"))  # byte-cap flush
-    assert len(sent) == 1
-    # Start the next batch: it must get a *fresh* window timer.
-    packer.enqueue("h1", data(payload="c"))
-    assert len(timers.armed) == 2
-    # The stale timer fires: it must not flush the new batch early.
-    timers.fire(0)
-    assert len(sent) == 1
+    assert len(channel.sent) == 1
+    packer.enqueue("h1", data(payload="c"))  # 100 bytes < cap: buffers
+    assert len(channel.sent) == 1
     assert packer.pending_entries("h1") == 1
-    # The fresh timer flushes it at its own deadline.
-    timers.fire(0)
-    assert len(sent) == 2
-    assert sent[1][1].payload == "c"  # singleton: bare LwgData
+    # Someone else's delivery leaves the capped batch in flight.
+    packer.release("h1")
+    assert len(channel.sent) == 1
+    # Our own delivery releases it as a singleton: bare LwgData.
+    channel.deliver_all("h1")
+    packer.release("h1")
+    assert len(channel.sent) == 2
+    assert channel.sent[1][1].payload == "c"
 
 
-def test_control_flush_disarms_window_timer():
-    timers, sent = FakeTimers(), []
-    packer = make_packer(timers, sent)
+def test_control_flush_emits_the_buffer_early():
+    channel, packer = busy_packer()
     packer.enqueue("h1", data(payload="a"))
     packer.enqueue("h1", data(payload="b"))
     packer.flush("h1")  # control-message flush (hwg_send path)
-    assert len(sent) == 1
-    packer.enqueue("h1", data(payload="c"))
-    timers.fire(0)  # stale window
-    assert packer.pending_entries("h1") == 1
-    timers.fire(0)  # fresh window
-    assert [e for _, e in sent[1:]] == [sent[1][1]]
-    assert sent[1][1].payload == "c"
+    assert len(channel.sent) == 1
+    assert [e.payload for e in channel.sent[0][1].entries] == ["a", "b"]
+    # Nothing is left behind for a later release to re-send.
+    channel.deliver_all("h1")
+    packer.release("h1")
+    assert len(channel.sent) == 1
 
 
-def test_reset_invalidates_armed_timers():
-    timers, sent = FakeTimers(), []
-    packer = make_packer(timers, sent)
+def test_reset_drops_the_buffer():
+    channel, packer = busy_packer()
     packer.enqueue("h1", data(payload="a"))
-    packer.reset()  # crash: buffer wiped, timer logically dead
+    packer.reset()  # crash: buffer wiped
+    assert packer.pending_entries("h1") == 0
+    channel.deliver_all("h1")
+    packer.release("h1")
+    assert channel.sent == []
     packer.enqueue("h1", data(payload="b"))
-    timers.fire(0)  # pre-crash timer: stale generation, ignored
-    assert sent == []
-    assert packer.pending_entries("h1") == 1
-    timers.fire(0)  # post-recovery timer
-    assert len(sent) == 1
-    assert sent[0][1].payload == "b"
+    assert [msg.payload for _, msg in channel.sent] == ["b"]
 
 
 def test_single_lwg_batch_keeps_its_label():
-    timers, sent = FakeTimers(), []
-    packer = make_packer(timers, sent)
+    channel, packer = busy_packer()
     packer.enqueue("h1", data(lwg="lwg:a", payload="a1"))
     packer.enqueue("h1", data(lwg="lwg:a", payload="a2"))
     packer.flush("h1")
-    batch = sent[0][1]
+    batch = channel.sent[0][1]
     assert batch.lwg == "lwg:a"
     assert batch.lwg_counts() == {"lwg:a": 2}
 
@@ -131,13 +159,12 @@ def test_mixed_lwg_batch_is_marked_mixed():
     per-LWG tracing attributed every entry of a mixed batch to whichever
     group happened to be buffered first.
     """
-    timers, sent = FakeTimers(), []
-    packer = make_packer(timers, sent)
+    channel, packer = busy_packer()
     packer.enqueue("h1", data(lwg="lwg:b", payload="b1"))
     packer.enqueue("h1", data(lwg="lwg:a", payload="a1"))
     packer.enqueue("h1", data(lwg="lwg:b", payload="b2"))
     packer.flush("h1")
-    batch = sent[0][1]
+    batch = channel.sent[0][1]
     assert batch.lwg == MIXED_BATCH
     assert batch.lwg_counts() == {"lwg:a": 1, "lwg:b": 2}
     # Entry order (= send order) is untouched by the labeling.
@@ -145,20 +172,21 @@ def test_mixed_lwg_batch_is_marked_mixed():
 
 
 def test_buffers_are_per_hwg():
-    timers, sent = FakeTimers(), []
-    packer = make_packer(timers, sent)
+    channel, packer = busy_packer(hwgs=("h1", "h2"))
     packer.enqueue("h1", data(payload="a"))
     packer.enqueue("h2", data(payload="b"))
-    assert len(timers.armed) == 2  # one window per HWG
-    packer.flush("h1")
-    assert len(sent) == 1 and sent[0][0] == "h1"
+    # h3 is idle: its payload goes straight out, h1/h2 stay buffered.
+    packer.enqueue("h3", data(payload="c"))
+    assert [hwg for hwg, _ in channel.sent] == ["h3"]
+    channel.deliver_all("h1")
+    packer.release("h1")
+    assert [hwg for hwg, _ in channel.sent] == ["h3", "h1"]
     assert packer.pending_entries("h2") == 1
 
 
 def test_flush_all_covers_every_hwg():
-    timers, sent = FakeTimers(), []
-    packer = make_packer(timers, sent)
+    channel, packer = busy_packer(hwgs=("h1", "h2"))
     packer.enqueue("h2", data(payload="b"))
     packer.enqueue("h1", data(payload="a"))
     packer.flush_all()
-    assert [hwg for hwg, _ in sent] == ["h1", "h2"]
+    assert [hwg for hwg, _ in channel.sent] == ["h1", "h2"]

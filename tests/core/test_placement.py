@@ -18,7 +18,7 @@ import subprocess
 import sys
 import textwrap
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import LwgConfig, PolicyEngine, PolicySnapshot, SwitchAction
@@ -233,6 +233,21 @@ def test_planning_is_deterministic(v):
 
 @settings(max_examples=100, deadline=None)
 @given(v=placement_views())
+@example(
+    # The local search re-seeded from scratch lands in a worse optimum
+    # than the applied plan it is handed; "change nothing" must win.
+    v=view(
+        lwgs=[
+            ("lwg:g0", fs("p0", "p1", "p2", "p5", "p6", "p7", "p8")),
+            ("lwg:g1", fs(*PROCS)),
+            ("lwg:g2", fs(*PROCS)),
+            ("lwg:g3", fs("p0", "p1", "p2", "p3")),
+            ("lwg:g4", fs("p0", "p1", "p2", "p3", "p4")),
+        ],
+        current={f"lwg:g{i}": None for i in range(5)},
+        anchors=["hwg:00"],
+    )
+)
 def test_replanning_an_applied_plan_never_regresses(v):
     # Apply the plan as the new current assignment (fresh keys become
     # real anchors) and re-plan: the second plan must not cost more —
