@@ -12,8 +12,9 @@ detector's job, not the transport's.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Deque, Dict, Tuple
 
 from ..runtime.interfaces import NodeId, Runtime
 
@@ -44,6 +45,8 @@ class _PeerState:
 
     next_send_seq: int = 0
     acked_up_to: int = -1  # highest cumulatively acked seq
+    # Keys are inserted in ascending seq order (a retry rewrites its
+    # entry in place), so the first key is always the smallest.
     unacked: Dict[int, Tuple[Any, int, int]] = field(default_factory=dict)
     # receiver side
     delivered_up_to: int = -1
@@ -77,7 +80,7 @@ class ReliableTransport:
         self.max_retries = max_retries
         self.window = window
         self._peers: Dict[NodeId, _PeerState] = {}
-        self._queued: Dict[NodeId, List[Tuple[Any, int]]] = {}
+        self._queued: Dict[NodeId, Deque[Tuple[Any, int]]] = {}
         self.retransmissions = 0
         self.gave_up = 0
         self._stopped = False
@@ -110,12 +113,12 @@ class ReliableTransport:
         state = self._peer(dst)
         in_flight = state.next_send_seq - state.acked_up_to - 1
         if in_flight >= self.window:
-            self._queued.setdefault(dst, []).append((payload, size))
+            self._queued.setdefault(dst, deque()).append((payload, size))
             return
         self._transmit(dst, payload, size)
 
     def _sender_floor(self, state: _PeerState) -> int:
-        return min(state.unacked) if state.unacked else state.next_send_seq
+        return next(iter(state.unacked)) if state.unacked else state.next_send_seq
 
     def _transmit(self, dst: NodeId, payload: Any, size: int) -> None:
         state = self._peer(dst)
@@ -168,9 +171,9 @@ class ReliableTransport:
 
     def _drain_queue(self, dst: NodeId) -> None:
         state = self._peer(dst)
-        queued = self._queued.get(dst, [])
+        queued = self._queued.get(dst)
         while queued and (state.next_send_seq - state.acked_up_to - 1) < self.window:
-            payload, size = queued.pop(0)
+            payload, size = queued.popleft()
             self._transmit(dst, payload, size)
 
     # ------------------------------------------------------------------
@@ -219,9 +222,10 @@ class ReliableTransport:
     def _on_ack(self, src: NodeId, up_to: int) -> None:
         state = self._peer(src)
         if up_to > state.acked_up_to:
+            # Everything at or below the previous ack is already gone.
+            for seq in range(state.acked_up_to + 1, up_to + 1):
+                state.unacked.pop(seq, None)
             state.acked_up_to = up_to
-            for seq in [s for s in state.unacked if s <= up_to]:
-                del state.unacked[seq]
             self._drain_queue(src)
 
     @staticmethod

@@ -43,6 +43,11 @@ class OrderedChannel:
         self.host = host
         self.view: Optional[View] = None
         self.log: Dict[int, Ordered] = {}
+        # Highest seq inserted into ``log`` this view.  Every held seq is
+        # at or below it, and whenever it exceeds ``delivered_upto + 1``
+        # it is itself still held (floors prune only delivered seqs), so
+        # it answers "is there a gap, and where does it end" in O(1).
+        self._held_top = -1
         self.delivered_upto = -1
         self.next_order_seq = 0  # meaningful at the sequencer only
         self.dedup_floor: Dict[NodeId, int] = {}
@@ -75,6 +80,7 @@ class OrderedChannel:
         """Reset per-view state and re-publish still-pending messages."""
         self.view = view
         self.log.clear()
+        self._held_top = -1
         self.delivered_upto = -1
         self.next_order_seq = 0
         self._ordered_in_view.clear()
@@ -218,6 +224,8 @@ class OrderedChannel:
         if msg.seq <= self.delivered_upto or msg.seq in self.log:
             return
         self.log[msg.seq] = msg
+        if msg.seq > self._held_top:
+            self._held_top = msg.seq
         self._try_deliver()
         if self.log_gap_exists() and not self._nack_armed:
             self._arm_nack()
@@ -254,8 +262,13 @@ class OrderedChannel:
         self.host.deliver_data(msg.sender, msg.payload, msg.payload_size)
 
     def log_gap_exists(self) -> bool:
-        """True if we hold out-of-order messages past a missing sequence."""
-        return any(seq > self.delivered_upto + 1 for seq in self.log)
+        """True if we hold out-of-order messages past a missing sequence.
+
+        ``_try_deliver`` leaves ``delivered_upto + 1`` absent from the
+        log, so a gap exists exactly when something above it is held,
+        i.e. when the highest held seq lies beyond it.
+        """
+        return self._held_top > self.delivered_upto + 1
 
     def _arm_nack(self) -> None:
         self._nack_armed = True
@@ -267,12 +280,11 @@ class OrderedChannel:
                 return
             if not self.log_gap_exists():
                 return
-            missing_to = max(s for s in self.log if s > self.delivered_upto + 1) - 1
             nack = Nack(
                 group=self.host.group,
                 view_id=self.view.view_id,
                 from_seq=self.delivered_upto + 1,
-                to_seq=missing_to,
+                to_seq=self._held_top - 1,
                 requester=self.host.node,
             )
             self.host.reliable_send(self.view.coordinator, nack)
@@ -352,13 +364,17 @@ class OrderedChannel:
         self._apply_floor(floor)
 
     def _apply_floor(self, floor: int) -> None:
-        """Advance ``stable_upto`` and prune the log (monotone, idempotent)."""
+        """Advance ``stable_upto`` and prune the log (monotone, idempotent).
+
+        Nothing at or below the previous floor is held any more, so only
+        the newly stable range needs visiting — not the whole log.
+        """
         if self.view is None or floor <= self.stable_upto:
             return
+        for seq in range(self.stable_upto + 1, floor + 1):
+            if self.log.pop(seq, None) is not None:
+                self.log_pruned += 1
         self.stable_upto = floor
-        for seq in [s for s in self.log if s <= floor]:
-            del self.log[seq]
-            self.log_pruned += 1
 
     def on_stability_announce(self, msg: StabilityAnnounce) -> None:
         """Prune the log up to the announced floor."""
@@ -386,8 +402,11 @@ class OrderedChannel:
         """
         # Drop above-cut holdings FIRST: delivering them here would break
         # the branch-wide agreement on the delivered set.
-        for seq in [s for s in self.log if s > cut]:
-            del self.log[seq]
+        for seq in range(cut + 1, self._held_top + 1):
+            self.log.pop(seq, None)
+        # Whatever is kept or filled lies at or below the cut, and the
+        # fill delivers exactly up to it.
+        self._held_top = cut
         for seq, msg in missing.items():
             if seq not in self.log and seq <= cut:
                 self.log[seq] = msg

@@ -30,6 +30,68 @@ class RecordingListener(HwgListener):
         self.lefts += 1
 
 
+class FakeHost:
+    """An ordered channel's host that collects its outputs instead of using a network."""
+
+    def __init__(self, env, node, group="g"):
+        self.env = env
+        self.node = node
+        self.group = group
+        self.multicasts = []
+        self.reliable = []
+        self.delivered = []
+
+    def multicast_view(self, msg, size):
+        self.multicasts.append(msg)
+
+    def reliable_send(self, dst, msg):
+        self.reliable.append((dst, msg))
+
+    def deliver_data(self, sender, payload, size):
+        self.delivered.append((sender, payload))
+
+
+def feed_own_multicasts(channel, host):
+    """Loop the sequencer's multicasts back into the channel."""
+    while host.multicasts:
+        channel.on_ordered(host.multicasts.pop(0))
+
+
+class CountingDict(dict):
+    """A dict that counts its iterations, the keys they visit and the
+    full scans among them (iterations run to the end, and views)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.iterations = 0
+        self.keys_visited = 0
+        self.full_scans = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        for key in super().__iter__():
+            self.keys_visited += 1
+            yield key
+        self.full_scans += 1
+
+    def _viewed(self):
+        self.iterations += 1
+        self.keys_visited += len(self)
+        self.full_scans += 1
+
+    def keys(self):
+        self._viewed()
+        return super().keys()
+
+    def values(self):
+        self._viewed()
+        return super().values()
+
+    def items(self):
+        self._viewed()
+        return super().items()
+
+
 def make_group(env: SimEnv, n: int, group: str = "g", prefix: str = "p"):
     """n stacks, all joined to one HWG; returns (stacks, endpoints, listeners)."""
     addressing = GroupAddressing()

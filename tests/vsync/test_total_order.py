@@ -7,31 +7,11 @@ membership machinery.
 
 import pytest
 
-from repro.sim import SimEnv
+from tests.helpers import FakeHost, feed_own_multicasts
+
 from repro.vsync.messages import Nack, Ordered, Publish
 from repro.vsync.total_order import OrderedChannel
 from repro.vsync.view import View, ViewId
-
-
-class FakeHost:
-    """Collects the channel's outputs instead of using a network."""
-
-    def __init__(self, env, node, group="g"):
-        self.env = env
-        self.node = node
-        self.group = group
-        self.multicasts = []
-        self.reliable = []
-        self.delivered = []
-
-    def multicast_view(self, msg, size):
-        self.multicasts.append(msg)
-
-    def reliable_send(self, dst, msg):
-        self.reliable.append((dst, msg))
-
-    def deliver_data(self, sender, payload, size):
-        self.delivered.append((sender, payload))
 
 
 @pytest.fixture
@@ -42,12 +22,6 @@ def seq_host(env):
     view = View("g", ViewId("p0", 1), ("p0", "p1"))
     channel.install_view(view, {})
     return host, channel, view
-
-
-def feed_own_multicasts(channel, host):
-    """Loop the sequencer's multicasts back into the channel."""
-    while host.multicasts:
-        channel.on_ordered(host.multicasts.pop(0))
 
 
 def test_sequencer_orders_and_multicasts(seq_host):
