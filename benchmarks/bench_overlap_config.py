@@ -120,6 +120,11 @@ def test_overlap_configuration(benchmark):
             none_rec_last > 1.5 * none_rec_first,
         ),
         shape_check(
+            "no-service recovery never falls as n grows: "
+            f"{[round(r, 1) for r in recovery['none']]}ms",
+            all(a <= b for a, b in zip(recovery["none"], recovery["none"][1:])),
+        ),
+        shape_check(
             f"dynamic recovery far below no-service at n={NS[-1]} "
             f"({dynamic_rec_last:.1f} vs {none_rec_last:.1f}ms)",
             dynamic_rec_last < 0.6 * none_rec_last,

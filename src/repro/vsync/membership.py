@@ -42,29 +42,18 @@ from .messages import (
 )
 from .view import View, ViewId, merge_member_order
 
-#: How long a merge leader waits for BranchFlushed replies.
-MERGE_BRANCH_TIMEOUT_US = 900_000
-#: How long a subordinate branch waits for the merge leader's InstallView.
-INSTALL_TIMEOUT_US = 1_500_000
+#: How long a merge leader waits for BranchFlushed replies.  A mass
+#: heal congests the shared medium far past a single round trip:
+#: dropping branches early when the wire is running second-plus one-way
+#: latencies only restarts the chase and adds its own retry traffic, so
+#: the leader waits several uncongested round trips.
+MERGE_BRANCH_TIMEOUT_US = 2_700_000
+#: How long a subordinate branch waits for the merge leader's
+#: InstallView: past the *leader's* whole round budget (plus install
+#: latency) before concluding the leader is gone.
+INSTALL_TIMEOUT_US = 2 * MERGE_BRANCH_TIMEOUT_US
 
-#: Hardened-mode (VsyncConfig.heal_hardening) overrides.  A mass heal
-#: congests the shared medium far past the single-round-trip budgets
-#: above: dropping branches at 900 ms when the wire is running
-#: second-plus one-way latencies only restarts the chase and adds its
-#: own retry traffic.  The leader waits several uncongested round
-#: trips; the subordinate waits past the *leader's* whole round budget
-#: (plus install latency) before concluding the leader is gone.
-HARDENED_MERGE_TIMEOUT_US = 3 * MERGE_BRANCH_TIMEOUT_US
-HARDENED_INSTALL_TIMEOUT_US = 2 * HARDENED_MERGE_TIMEOUT_US
-
-#: Hardened abandoned-branch confirmation window: a member keeps
-#: treating a coordinator beacon for an unknown view as inconclusive
-#: until sightings of it span this long (a congested InstallView can
-#: trail the beacons announcing it by seconds; seceding early shatters
-#: a view that was about to complete).
-ABANDONED_CONFIRM_US = 3_000_000
-
-#: How long a hardened leader-eligible coordinator keeps deferring its
+#: How long a leader-eligible coordinator keeps deferring its
 #: own merge rounds after sighting a beacon from a *smaller* live
 #: coordinator (who will absorb us; our competing round would only add
 #: traffic).  A few beacon periods: if the smaller leader dies, its
@@ -151,15 +140,9 @@ class ViewChangeManager:
         self._epoch_counter = 0
         self.refresh_requested = False
         self._abandoned_evidence: Optional[ViewId] = None
-        self._abandoned_seen_at = 0
-        #: Hardened mode: sim-time until which merge-only rounds are
-        #: deferred because a smaller live coordinator was sighted.
+        #: Sim-time until which merge-only rounds are deferred because a
+        #: smaller live coordinator was sighted.
         self._defer_until = 0
-
-    @property
-    def _hardened(self) -> bool:
-        """Mass-heal hardening enabled (see VsyncConfig.heal_hardening)."""
-        return self.ep.stack.config.heal_hardening
 
     # ------------------------------------------------------------------
     # Role queries
@@ -260,40 +243,26 @@ class ViewChangeManager:
             return
         if msg.view_id in self.ep.known_ancestors:
             return  # a stale beacon from a view we already superseded
-        included = self.ep.node in msg.members
-        if (not included or self._hardened) and src == self.acting_coordinator():
+        if src == self.acting_coordinator():
             # Our own coordinator is beaconing a view that is neither
             # ours nor one we superseded: it moved on without us.  Either
             # the view excludes us (we were dropped from a flush while
             # alive — a deferred StopOk, or a one-way reachability
-            # glitch), or — under heal hardening — it *includes* us but
-            # we never installed it (a leave/rejoin race: the
-            # intermediate view that cut us was ignored while we sat in
-            # MEMBER state, so the re-adding install arrived via a
-            # branch we don't descend from and was refused).  Either way
-            # we are deaf on a stale branch and no retransmission is
-            # coming.  Two consecutive sightings (beacons are periodic;
-            # a racing InstallView lands in between) confirm the strand
-            # — then we secede into a singleton view and let the merge
-            # machinery reunite us.  Hardened mode additionally demands
-            # that the sightings span a real confirmation window: during
-            # a congested mass heal an InstallView can trail the beacons
-            # announcing it by several seconds, and seceding on two
-            # quick sightings would shatter views the install was about
-            # to complete.
+            # glitch), or it *includes* us but we never installed it (a
+            # leave/rejoin race: the intermediate view that cut us was
+            # ignored while we sat in MEMBER state, so the re-adding
+            # install arrived via a branch we don't descend from and was
+            # refused).  Either way we are deaf on a stale branch and no
+            # retransmission is coming.  Two consecutive sightings
+            # (beacons are periodic; a racing InstallView lands in
+            # between) confirm the strand — then we secede into a
+            # singleton view and let the merge machinery reunite us.
             if self._abandoned_evidence == msg.view_id:
-                if (
-                    self._hardened
-                    and self.ep.env.now - self._abandoned_seen_at
-                    < ABANDONED_CONFIRM_US
-                ):
-                    return  # keep the evidence; the window is still open
                 self._abandoned_evidence = None
                 self.ep.trace("abandoned_secede", stale_view=str(view.view_id))
                 self.ep.secede()
             else:
                 self._abandoned_evidence = msg.view_id
-                self._abandoned_seen_at = self.ep.env.now
             return
         if not self.am_leader():
             return
@@ -302,7 +271,7 @@ class ViewChangeManager:
         if self.ep.node < src:
             self.pending_merges[src] = msg
             self.maybe_start()
-        elif self._hardened:
+        else:
             # A smaller live coordinator is beaconing.  It will absorb
             # us (everyone yields to the smaller leader), so starting
             # our own merge round toward third parties only adds a
@@ -342,8 +311,7 @@ class ViewChangeManager:
         if not (suspects or joins or leaves or merges or refresh):
             return
         if (
-            self._hardened
-            and merges
+            merges
             and not (suspects or joins or leaves or refresh)
             and self.ep.env.now < self._defer_until
         ):
@@ -382,9 +350,7 @@ class ViewChangeManager:
             )
         if rnd.foreign:
             rnd.merge_timer = self.ep.env.scheduler.schedule(
-                HARDENED_MERGE_TIMEOUT_US if self._hardened
-                else MERGE_BRANCH_TIMEOUT_US,
-                lambda: self._merge_timeout(rnd),
+                MERGE_BRANCH_TIMEOUT_US, lambda: self._merge_timeout(rnd)
             )
         self._start_own_flush(rnd)
 
@@ -460,10 +426,7 @@ class ViewChangeManager:
         rnd = self.round
         if rnd is None or msg.epoch > rnd.epoch:
             return
-        if msg.epoch != rnd.epoch and not self._hardened:
-            return
-        # Under hardening, a report paired with an *older* epoch of ours
-        # is still good:
+        # A report paired with an *older* epoch of ours is still good:
         # the branch froze at its cut when it flushed and stays frozen
         # until our install, so a reply that congestion pushed past the
         # merge timeout of the round that requested it answers the
@@ -510,8 +473,7 @@ class ViewChangeManager:
             b.status is _BranchStatus.FLUSHED for b in rnd.foreign.values()
         )
         if (
-            self._hardened
-            and rnd.foreign
+            rnd.foreign
             and not flushed_any
             and not rnd.joins
             and not rnd.leaves
@@ -659,22 +621,6 @@ class ViewChangeManager:
     def on_merge_request(self, src: NodeId, msg: MergeRequest) -> None:
         view = self.ep.current_view
         decline = MergeDecline(group=self.ep.group, decliner=self.ep.node, epoch=msg.epoch)
-        if not self._hardened:
-            # Conservative baseline: decline anything but an exact-target
-            # request to an idle leader.
-            if (
-                self.ep.state is not EndpointState.MEMBER
-                or view is None
-                or view.view_id != msg.target_view_id
-                or not self.am_leader()
-                or self.round is not None
-                or self.subordinate is not None
-                or not (msg.leader < self.ep.node)
-            ):
-                self.ep.reliable_send(src, decline)
-                return
-            self._accept_merge(msg)
-            return
         sub = self.subordinate
         if sub is not None:
             if sub.leader == msg.leader:
@@ -767,7 +713,7 @@ class ViewChangeManager:
         if sub.install_timer is not None:
             sub.install_timer.cancel()
         sub.install_timer = self.ep.env.scheduler.schedule(
-            HARDENED_INSTALL_TIMEOUT_US if self._hardened else INSTALL_TIMEOUT_US,
+            INSTALL_TIMEOUT_US,
             lambda: self._subordinate_install_timeout(sub, sub.survivors, sub.dedup),
         )
 
@@ -804,8 +750,7 @@ class ViewChangeManager:
         view = self.ep.current_view
         assert view is not None
         if (
-            self._hardened
-            and view.members == (self.ep.node,)
+            view.members == (self.ep.node,)
             and tuple(survivors) == view.members
         ):
             # Singleton branch: there is nobody a recovery *install*

@@ -1,8 +1,11 @@
 """End-to-end tests of naming client and servers over the sim network."""
 
+from types import SimpleNamespace
+
 from tests.helpers import run_until
 
 from repro.naming import MappingRecord, NameServer, NamingClient, databases_consistent
+from repro.naming.client import RPC_BACKOFF_CAP_US, RPC_TIMEOUT_US
 from repro.sim import SECOND
 from repro.vsync import GroupAddressing, ProtocolStack
 from repro.vsync.view import ViewId
@@ -102,6 +105,37 @@ def test_client_retries_on_unreachable_server(env):
     assert run_until(env, lambda: bool(replies), timeout_s=5)
     assert client.retries >= 0  # rotation may or may not have been needed
     assert len(servers["ns1"].db) == 1
+
+
+class _BareStack:
+    """The minimum a NamingClient needs from its host: no ``config``."""
+
+    def __init__(self, env, node):
+        self.env = env
+        self.node = node
+        self.sent = []
+        self.timers = []
+
+    def register_handler(self, handler):
+        pass
+
+    def send(self, dst, msg, size):
+        self.sent.append(dst)
+
+    def set_timer(self, delay, callback):
+        self.timers.append((delay, callback))
+        return SimpleNamespace(cancel=lambda: None)
+
+
+def test_retry_timeout_doubles_up_to_cap(env):
+    stack = _BareStack(env, "p0")
+    client = NamingClient(stack, ["ns0", "ns1"])
+    client.read("lwg:a", lambda records: None)
+    for _ in range(7):
+        stack.timers[-1][1]()  # the attempt times out: retry
+    delays = [delay for delay, _ in stack.timers]
+    assert delays == [RPC_TIMEOUT_US << k for k in range(6)] + [RPC_BACKOFF_CAP_US] * 2
+    assert len(stack.sent) == 8 and client.retries == 7
 
 
 def test_gossip_reconciles_after_partition(env):

@@ -2,9 +2,16 @@
 
 from repro.sim import SimEnv
 from repro.vsync.flush import FlushParticipant
-from repro.vsync.membership import EndpointState, ViewChangeManager
+from repro.vsync.membership import (
+    INSTALL_TIMEOUT_US,
+    MERGE_DEFER_WINDOW_US,
+    EndpointState,
+    ViewChangeManager,
+    _BranchStatus,
+)
 from repro.vsync.stack import VsyncConfig
 from repro.vsync.messages import (
+    BranchFlushed,
     InstallView,
     LeaveRequest,
     MergeDecline,
@@ -156,6 +163,18 @@ def test_abandonment_needs_two_sightings(env):
     assert endpoint.seceded == 1  # second sighting: secede
 
 
+def test_abandonment_when_coordinator_view_includes_us(env):
+    endpoint = make(env, node="p2")
+    # p0 beacons a view we never installed that still lists us: it re-added
+    # us through a branch we don't descend from, so we are stranded on a
+    # stale branch just as if we had been dropped.
+    foreign = presence(ViewId("p0", 9), ["p0", "p1", "p2"])
+    endpoint.vcm.on_presence("p0", foreign)
+    assert endpoint.seceded == 0  # first sighting: remembered only
+    endpoint.vcm.on_presence("p0", foreign)
+    assert endpoint.seceded == 1  # second sighting: secede
+
+
 def test_abandonment_ignores_non_coordinator_beacons(env):
     endpoint = make(env, node="p2")
     foreign = presence(ViewId("p9", 9), ["p9"])  # someone else's view
@@ -178,15 +197,37 @@ def test_merge_request_declined_when_not_leader(env):
     assert len(declines) == 1
 
 
-def test_merge_request_declined_on_stale_target_view(env):
-    endpoint = make(env, node="p0")
+def test_merge_request_accepted_on_stale_target_view(env):
+    # The target hint names a view we already moved past (the leader saw
+    # an older beacon).  The flush covers our current view regardless, so
+    # a smaller leader's request is accepted rather than declined.
+    endpoint = make(env, node="p1", members=("p1", "p2"))
     request = MergeRequest(
-        group="g", leader="pA", leader_view_id=ViewId("pA", 5),
-        target_view_id=ViewId("p0", 99), epoch=1,  # not our current view
+        group="g", leader="p0", leader_view_id=ViewId("p0", 5),
+        target_view_id=ViewId("p1", 99), epoch=1,  # not our current view
     )
-    endpoint.vcm.on_merge_request("pA", request)
-    declines = [m for _, m in endpoint.sent if isinstance(m, MergeDecline)]
-    assert len(declines) == 1
+    endpoint.vcm.on_merge_request("p0", request)
+    assert endpoint.vcm.subordinate is not None
+    assert endpoint.vcm.subordinate.leader == "p0"
+    assert not any(isinstance(m, MergeDecline) for _, m in endpoint.sent)
+
+
+def test_merge_request_yields_own_round_to_smaller_leader(env):
+    endpoint = make(env, node="p1", members=("p1", "p2"))
+    endpoint.vcm.request_refresh()
+    own_round = endpoint.vcm.round
+    assert own_round is not None
+    request = MergeRequest(
+        group="g", leader="p0", leader_view_id=ViewId("p0", 5),
+        target_view_id=endpoint.current_view.view_id, epoch=3,
+    )
+    endpoint.vcm.on_merge_request("p0", request)
+    # Mid-round, a smaller leader still absorbs us: our round is
+    # abandoned and we flush for p0 instead of busy-declining.
+    assert endpoint.vcm.round is None
+    assert endpoint.vcm.subordinate is not None
+    assert endpoint.vcm.subordinate.leader == "p0"
+    assert not any(isinstance(m, MergeDecline) for _, m in endpoint.sent)
 
 
 def test_merge_request_declined_when_leader_id_larger(env):
@@ -211,6 +252,72 @@ def test_merge_request_accepted_starts_subordinate_flush(env):
     assert endpoint.vcm.subordinate.leader == "p0"
     declines = [m for _, m in endpoint.sent if isinstance(m, MergeDecline)]
     assert declines == []
+
+
+def test_merge_rounds_deferred_while_smaller_coordinator_beacons(env):
+    endpoint = make(env, node="p5", members=("p5", "p6"))
+    # p0 (smaller) is beaconing: it will absorb us, so a merge-only round
+    # of our own toward p9 would only add a competing leader.
+    endpoint.vcm.on_presence("p0", presence(ViewId("p0", 3), ["p0", "p1"]))
+    endpoint.vcm.on_presence("p9", presence(ViewId("p9", 3), ["p9"]))
+    assert endpoint.vcm.round is None
+    assert "p9" in endpoint.vcm.pending_merges  # queued, not dropped
+    env.run_for(MERGE_DEFER_WINDOW_US)
+    endpoint.vcm.maybe_start()
+    assert endpoint.vcm.round is not None
+    assert set(endpoint.vcm.round.foreign) == {"p9"}
+
+
+def test_late_epoch_branch_flushed_is_accepted(env):
+    endpoint = make(env, node="p0")
+    target = presence(ViewId("p5", 3), ["p5", "p6"])
+    endpoint.vcm.on_presence("p5", target)
+    first_epoch = endpoint.vcm.round.epoch
+    # That round gives up; the retry targets the same branch.
+    endpoint.vcm._abandon_round(endpoint.vcm.round)
+    endpoint.vcm.on_presence("p5", target)
+    retry = endpoint.vcm.round
+    assert retry.epoch > first_epoch
+    # p5's report for the first round arrives late.  Its branch is frozen
+    # at the reported cut, so it answers the retry just as well.
+    endpoint.vcm.on_branch_flushed(
+        BranchFlushed(
+            group="g", epoch=first_epoch,
+            branch_view=View("g", target.view_id, target.members),
+            survivors=target.members, branch_coordinator="p5",
+        )
+    )
+    assert retry.foreign["p5"].status is _BranchStatus.FLUSHED
+
+
+def test_merge_only_singleton_round_is_a_noop(env):
+    endpoint = make(env, node="p0", members=("p0",))
+    endpoint.vcm.on_presence("p5", presence(ViewId("p5", 3), ["p5"]))
+    rnd = endpoint.vcm.round
+    assert rnd is not None
+    endpoint.vcm.on_merge_decline(MergeDecline(group="g", decliner="p5", epoch=rnd.epoch))
+    # Nothing merged and nothing else changed: minting an identity view
+    # would only invalidate the beacon other leaders are targeting.
+    assert endpoint.vcm.round is None
+    assert endpoint.installed == []
+    assert not endpoint.channel.frozen
+
+
+def test_singleton_subordinate_recovery_is_a_noop(env):
+    endpoint = make(env, node="p1", members=("p1",))
+    request = MergeRequest(
+        group="g", leader="p0", leader_view_id=ViewId("p0", 5),
+        target_view_id=endpoint.current_view.view_id, epoch=7,
+    )
+    endpoint.vcm.on_merge_request("p0", request)
+    assert endpoint.vcm.subordinate is not None
+    assert endpoint.vcm.subordinate.reported
+    env.run_for(INSTALL_TIMEOUT_US + 1)
+    # The leader never installed; a singleton branch resumes its current
+    # view instead of minting a recovery view nobody else would see.
+    assert endpoint.vcm.subordinate is None
+    assert endpoint.installed == []
+    assert not endpoint.channel.frozen
 
 
 def test_no_round_without_triggers(env):
