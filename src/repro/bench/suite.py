@@ -568,7 +568,7 @@ def shard_scaleout_workload(
 ) -> Dict[str, float]:
     """Per-server naming load for one deployment shape.
 
-    ``replication_factor=0`` is the fully-replicated legacy deployment
+    ``replication_factor=0`` means the whole roster — full replication
     (the comparison baseline).  One client writes
     :data:`SCALEOUT_WRITES` distinct LWG mappings (no parents, so the
     exchange cost is records, not genealogy), the cluster settles
@@ -587,14 +587,12 @@ def shard_scaleout_workload(
 
     env = SimRuntime.create(seed=seed, keep_trace=False)
     server_ids = [f"ns{i}" for i in range(num_servers)]
-    shard_map = (
-        ShardMap(server_ids, replication_factor) if replication_factor else None
-    )
+    shard_map = ShardMap(server_ids, replication_factor or num_servers)
     bytes_sent = {node: 0 for node in server_ids}
     msgs_sent = {node: 0 for node in server_ids}
     servers = {}
     for node in server_ids:
-        server = NameServer(env, node, peers=server_ids, shard_map=shard_map)
+        server = NameServer(env, node, shard_map)
         servers[node] = server
         original_send, original_multicast = server.send, server.multicast
 
@@ -612,7 +610,7 @@ def shard_scaleout_workload(
         server.send = send
         server.multicast = multicast
     stack = ProtocolStack(env, "p0", env.group_addressing())
-    client = NamingClient(stack, server_ids, shard_map=shard_map)
+    client = NamingClient(stack, shard_map)
     acked = [0]
     for i in range(SCALEOUT_WRITES):
         record = MappingRecord(
@@ -625,7 +623,7 @@ def shard_scaleout_workload(
     env.run_for(SCALEOUT_SETTLE_S * SECOND)
     assert acked[0] == SCALEOUT_WRITES, f"{acked[0]} of {SCALEOUT_WRITES} acked"
     resident = [len(s.db) for s in servers.values()]
-    if shard_map is not None and not shard_map.fully_replicated:
+    if not shard_map.fully_replicated:
         # Each write must live on exactly its replica set, nowhere else.
         assert sum(resident) == SCALEOUT_WRITES * replication_factor
     return {

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Set, Tuple
 
-from ..sim.trace import TraceRecord
+from ..runtime.trace import TraceRecord
 from .base import Checker
 
 
@@ -83,8 +83,8 @@ class NamingConvergenceChecker(Checker):
     name = "naming-convergence"
 
     def at_quiesce(self, cluster) -> None:
-        shard_map = getattr(cluster, "shard_map", None)
-        if shard_map is not None and not shard_map.fully_replicated:
+        shard_map = cluster.shard_map
+        if not shard_map.fully_replicated:
             self._check_sharded(cluster, shard_map)
             return
         network = cluster.env.fabric

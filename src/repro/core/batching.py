@@ -111,11 +111,6 @@ class BatchPacker:
         )
         self._transmit(hwg, batch)
 
-    def flush_all(self) -> None:
-        """Flush every HWG's pending buffer (quiesce / shutdown)."""
-        for hwg in sorted(h for h, b in self._buffers.items() if b):
-            self.flush(hwg)
-
     def reset(self) -> None:
         """Drop all buffered payloads (fail-stop crash semantics)."""
         self._buffers.clear()

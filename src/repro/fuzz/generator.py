@@ -30,7 +30,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from ..naming.persistence import CORRUPTION_MODES
 from ..sim.engine import MS
-from ..sim.rng import RngRegistry
+from ..runtime.rng import RngRegistry
 from .schedule import Schedule, Step
 
 PROFILES = ("partition", "churn", "mixed", "recovery")
@@ -95,8 +95,8 @@ class GeneratorConfig:
 
     num_processes: int = 6
     num_name_servers: int = 2
-    #: 0 = legacy fully-replicated naming; >0 shards the namespace with
-    #: this many replicas per shard (PROTOCOLS.md §18).
+    #: Replicas per naming shard (PROTOCOLS.md §18); 0 means the whole
+    #: roster (full replication).
     replication_factor: int = 0
     #: LWG→HWG placement strategy ("paper" or "optimizer", §19).
     placement: str = "paper"

@@ -123,7 +123,7 @@ class ScheduleRunner:
             num_processes=schedule.num_processes,
             seed=schedule.seed,
             num_name_servers=schedule.num_name_servers,
-            replication_factor=schedule.replication_factor or None,
+            replication_factor=schedule.replication_factor,
             lwg_config=_scaled_config(schedule.placement),
             vsync_config=VsyncConfig(
                 topology=schedule.topology,

@@ -8,7 +8,7 @@ one after another with a simulated pause between them.
 
 Because the cluster, the link model and every protocol timer draw all
 randomness from the schedule's seed through the stream-split
-:class:`~repro.sim.rng.RngRegistry`, replaying a schedule reproduces the
+:class:`~repro.runtime.rng.RngRegistry`, replaying a schedule reproduces the
 original run *bit for bit*: same event interleaving, same trace stream,
 same outcome.  That is what makes shrinking and frozen regression
 corpora possible.
@@ -161,9 +161,9 @@ class Schedule:
     seed: int
     num_processes: int = 6
     num_name_servers: int = 2
-    #: Shards-per-server replication (PROTOCOLS.md §18).  0 means the
-    #: legacy fully-replicated deployment (no shard map) — the default,
-    #: so every pre-sharding corpus schedule replays unchanged.
+    #: Replicas per naming shard (PROTOCOLS.md §18).  0 means the whole
+    #: roster (full replication) — the default, so every pre-sharding
+    #: corpus schedule replays unchanged.
     replication_factor: int = 0
     #: LWG→HWG placement strategy ("paper" or "optimizer", PROTOCOLS.md
     #: §19).  The paper default is omitted from the JSON form, so every

@@ -13,19 +13,20 @@ deployment assumption (Section 5.2) is that every partition retains at
 least one reachable server.  All operations are idempotent (records are
 versioned, testset re-proposes the same record), so retries are safe.
 
-With a :class:`~repro.naming.sharding.ShardMap` the client routes each
-request to the key's replica set instead of spraying the full roster:
-the fast path sends to one owner of the LWG's shard, a timeout rotates
-to the next owner, and only after every owner has been tried twice
-does the client fall back to the full roster — where any non-owner
-forwards to an owner on its behalf (owner-miss retry, PROTOCOLS.md
-§18).  Without a map the legacy rotate-everything behaviour is
-bit-identical to before.
+The client reads the server roster from a
+:class:`~repro.naming.sharding.ShardMap` and routes each request to
+the key's replica set instead of spraying the full roster: the fast
+path sends to one owner of the LWG's shard, a timeout rotates to the
+next owner, and only after every owner has been tried twice does the
+client fall back to the full roster — where any non-owner forwards to
+an owner on its behalf (owner-miss retry, PROTOCOLS.md §18).  Under a
+map that covers the roster every shard's owners are the roster in
+roster order, so routing is plain rotation over all servers.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from ..runtime.interfaces import NodeId
 from ..vsync.view import ViewId
@@ -62,20 +63,13 @@ class _PendingCall:
 class NamingClient:
     """Naming-service access for one application process."""
 
-    def __init__(
-        self,
-        stack,
-        servers: Sequence[NodeId],
-        shard_map: Optional[ShardMap] = None,
-    ):
-        if not servers:
-            raise ValueError("naming client needs at least one server")
+    def __init__(self, stack, shard_map: ShardMap):
         self.stack = stack
         self.env = stack.env
         self.node: NodeId = stack.node
-        self.servers: List[NodeId] = list(servers)
-        #: Replica-set routing (PROTOCOLS.md §18); None = legacy rotation.
+        #: Replica-set routing (PROTOCOLS.md §18) and the server roster.
         self.shard_map = shard_map
+        self.servers: Tuple[NodeId, ...] = shard_map.servers
         self._request_counter = 0
         self._version_counter = 0
         self._pending: Dict[int, _PendingCall] = {}
@@ -160,16 +154,12 @@ class NamingClient:
     def _target(self, call: _PendingCall) -> NodeId:
         """The server for this attempt: owners first, then the roster.
 
-        Sharded routing tries the LWG's replica set round-robin (the
+        Routing tries the LWG's replica set round-robin (the
         single-owner fast path, then owner-miss rotation).  After two
         full cycles over the owners — all of them presumed unreachable,
         e.g. across a partition — it widens to the whole roster, where
         any reachable non-owner forwards to an owner for us.
         """
-        if self.shard_map is None:
-            return self.servers[
-                (self._server_offset + call.attempts) % len(self.servers)
-            ]
         owners = self.shard_map.owners_for_lwg(call.request.lwg)
         if call.attempts < 2 * len(owners):
             return owners[(self._server_offset + call.attempts) % len(owners)]

@@ -13,15 +13,16 @@ the naming database.  Replicas are kept loosely consistent by
   healed cut *is* the reconciliation).  Identical replicas still
   short-circuit after two messages on the root content hash.
 
-Without a :class:`~repro.naming.sharding.ShardMap` the server is fully
-replicated — the paper-faithful configuration, bit-identical to the
-pre-sharding protocol.  With one, the server holds **only the shards
-it owns** (PROTOCOLS.md §18): pushes go to the record's shard
-co-owners, gossip runs only with servers sharing at least one shard
-and descends only their common subtrees (short-circuiting on the
-scoped hash), client requests for foreign shards are forwarded to an
-owner (which answers the client directly), and recovery reloads only
-owned shards from the durable store.
+Every server runs from a :class:`~repro.naming.sharding.ShardMap`,
+which also supplies the roster.  The server holds **only the shards it
+owns** (PROTOCOLS.md §18): pushes go to the record's shard co-owners,
+gossip runs only with servers sharing at least one shard and descends
+only their common subtrees (short-circuiting on the scoped hash),
+client requests for foreign shards are forwarded to an owner (which
+answers the client directly), and recovery reloads only owned shards
+from the durable store.  A map whose replication factor covers the
+roster is the paper-faithful full replication: every server owns
+everything, pushes reach every peer and gossip descends from the root.
 
 After every mutation the server checks for inconsistent mappings and
 fires MULTIPLE-MAPPINGS callbacks at the affected LWG-view coordinators.
@@ -30,7 +31,7 @@ fires MULTIPLE-MAPPINGS callbacks at the affected LWG-view coordinators.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from ..runtime.interfaces import NodeId, Runtime
 from ..sim.process import Process
@@ -64,23 +65,22 @@ class NameServer(Process):
         self,
         env: Runtime,
         node: NodeId,
-        peers: Sequence[NodeId] = (),
+        shard_map: ShardMap,
         gossip_period_us: int = 500_000,
         renotify_period_us: int = 600_000,
         max_sync_rounds: int = DEFAULT_MAX_SYNC_ROUNDS,
         store: Optional[DurableStore] = None,
-        shard_map: Optional[ShardMap] = None,
     ):
         super().__init__(env, node)
-        #: Namespace partition (PROTOCOLS.md §18); None = full replication.
+        #: Namespace partition and roster (PROTOCOLS.md §18).
         self.shard_map = shard_map
-        #: Shards this server replicates; None means "everything" (no
-        #: shard map, or a map whose replication factor covers the roster).
+        #: Shards this server replicates; None means "everything" (a
+        #: map whose replication factor covers the roster).
         self.owned: Optional[FrozenSet[str]] = None
-        if shard_map is not None and not shard_map.fully_replicated:
+        if not shard_map.fully_replicated:
             self.owned = frozenset(shard_map.owned_shards(node))
-        #: Durable snapshot+log store; None preserves the legacy
-        #: volatile behaviour (the in-memory db survives a sim crash).
+        #: Durable snapshot+log store; None (bare servers, as in the
+        #: asyncio demo) keeps the in-memory db across a sim crash.
         self.store = store
         self.incarnation = 0
         if store is not None:
@@ -98,13 +98,9 @@ class NameServer(Process):
                 self.incarnation = store.incarnation()
         else:
             self._install_db(NamingDatabase())
-        self.peers: List[NodeId] = [p for p in peers if p != node]
         #: Anti-entropy partners: peers sharing at least one shard with
         #: us (everyone, when fully replicated).
-        self._gossip_peers: List[NodeId] = [
-            p for p in self.peers
-            if shard_map is None or shard_map.scope(node, p)
-        ]
+        self._gossip_peers: List[NodeId] = list(shard_map.co_replicas(node))
         self.notifier = ConflictNotifier(
             server_id=node,
             send=self._send_callback,
@@ -127,20 +123,11 @@ class NameServer(Process):
             self.set_periodic(gossip_period_us, self.gossip_tick, jitter_stream=f"ns:{node}")
         self.set_periodic(renotify_period_us, self._notifier_tick)
 
-    def add_peer(self, peer: NodeId) -> None:
-        """Introduce another replica (scenario construction helper)."""
-        if peer != self.node and peer not in self.peers:
-            self.peers.append(peer)
-            if self.shard_map is None or self.shard_map.scope(self.node, peer):
-                self._gossip_peers.append(peer)
-
     # ------------------------------------------------------------------
     # Shard scope helpers
     # ------------------------------------------------------------------
     def _scope(self, peer: NodeId) -> Tuple[str, ...]:
         """The Merkle prefixes ``peer`` and we reconcile over."""
-        if self.shard_map is None:
-            return ("",)
         return self.shard_map.scope(self.node, peer)
 
     def _accepts(self, record: MappingRecord) -> bool:
@@ -204,7 +191,6 @@ class NameServer(Process):
         self.notifier.check(self.db)
 
     def _forward(self, msg: NsRequest) -> None:
-        assert self.shard_map is not None
         owners = self.shard_map.owners_for_lwg(msg.lwg)
         target = owners[self._forward_index % len(owners)]
         self._forward_index += 1
@@ -222,14 +208,11 @@ class NameServer(Process):
 
     def _push_write(self, msg: NsRequest) -> None:
         assert msg.record is not None
-        if self.shard_map is None:
-            targets = set(self.peers)
-        else:
-            targets = {
-                owner
-                for owner in self.shard_map.owners_for_lwg(msg.record.lwg)
-                if owner != self.node
-            }
+        targets = {
+            owner
+            for owner in self.shard_map.owners_for_lwg(msg.record.lwg)
+            if owner != self.node
+        }
         if not targets:
             return
         parents = {msg.record.lwg_view: tuple(msg.parents)} if msg.parents else {}

@@ -68,9 +68,10 @@ class ShardMap:
     Built once per cluster from the server roster and the replication
     factor; every server and every client builds the identical map from
     the same inputs, which is what makes owners computable everywhere
-    without coordination.  ``replication_factor >= len(servers)``
-    degenerates to full replication (every server owns every shard and
-    the anti-entropy scope collapses back to the tree root).
+    without coordination.  ``replication_factor >= len(servers)`` is
+    full replication: every server owns every shard, each replica set
+    is the roster in roster order, and the anti-entropy scope collapses
+    back to the tree root.
     """
 
     def __init__(self, servers: Sequence[NodeId], replication_factor: int):
@@ -84,14 +85,20 @@ class ShardMap:
         count = min(replication_factor, len(roster))
         #: shard -> owners, highest rendezvous score first.  Ties (a
         #: 256-bit hash collision) break on the server id so the map is
-        #: total-ordered and deterministic no matter what.
+        #: total-ordered and deterministic no matter what.  A covering
+        #: map owns every shard on the whole roster, in roster order:
+        #: the owner rotation of a client (and every owner-derived
+        #: target) is then exactly a rotation over the roster.
         self._owners: Dict[str, Tuple[NodeId, ...]] = {}
         self._owned: Dict[NodeId, List[str]] = {s: [] for s in self.servers}
         for shard in ALL_SHARDS:
-            ranked = sorted(
-                self.servers, key=lambda s: (_score(shard, s), s), reverse=True
-            )
-            owners = tuple(ranked[:count])
+            if count == len(roster):
+                owners = self.servers
+            else:
+                ranked = sorted(
+                    self.servers, key=lambda s: (_score(shard, s), s), reverse=True
+                )
+                owners = tuple(ranked[:count])
             self._owners[shard] = owners
             for owner in owners:
                 self._owned[owner].append(shard)
@@ -111,7 +118,8 @@ class ShardMap:
         return ALL_SHARDS
 
     def owners(self, shard: str) -> Tuple[NodeId, ...]:
-        """The replica set of ``shard``, best rendezvous score first."""
+        """The replica set of ``shard``: best rendezvous score first, or
+        the roster in roster order when the map covers it."""
         return self._owners[shard]
 
     def owners_for_lwg(self, lwg: LwgId) -> Tuple[NodeId, ...]:

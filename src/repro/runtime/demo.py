@@ -243,6 +243,7 @@ def _child_main(
     from ..core.baselines import make_dynamic_service
     from ..naming.client import NamingClient
     from ..naming.server import NameServer
+    from ..naming.sharding import ShardMap
     from ..vsync.stack import ProtocolStack
     from .asyncio_backend import AsyncioRuntime
 
@@ -258,10 +259,11 @@ def _child_main(
     env = AsyncioRuntime.create(seed=seed, node_addrs=addrs, epoch=epoch, codec=codec)
     try:
         addressing = env.group_addressing()
+        shard_map = ShardMap(["ns0"], 1)
         if role == "A":
-            NameServer(env, "ns0", peers=["ns0"])
+            NameServer(env, "ns0", shard_map)
         stack = ProtocolStack(env, node, addressing)
-        client = NamingClient(stack, ["ns0"])
+        client = NamingClient(stack, shard_map)
         service = make_dynamic_service(stack, client)
 
         def say(text: str) -> None:

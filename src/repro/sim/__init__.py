@@ -16,9 +16,7 @@ from .engine import MS, SECOND, EventHandle, Simulation, SimulationError
 from .failure import FailureEvent, FailureInjector
 from .network import LinkModel, Network, NodeId
 from .partition import PartitionEvent, PartitionSchedule
-from .process import Process, SimEnv, SimRuntime
-from .rng import RngRegistry
-from .trace import NullTracer, TraceRecord, Tracer
+from .process import Process, SimRuntime
 from .transport import ReliableTransport
 
 __all__ = [
@@ -36,10 +34,5 @@ __all__ = [
     "PartitionEvent",
     "PartitionSchedule",
     "Process",
-    "SimEnv",
-    "RngRegistry",
-    "NullTracer",
-    "TraceRecord",
-    "Tracer",
     "ReliableTransport",
 ]

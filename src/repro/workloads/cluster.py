@@ -58,8 +58,7 @@ class Cluster:
         process_prefix: str = "p",
         checkers: bool = True,
         env: Optional[Runtime] = None,
-        durable: bool = True,
-        replication_factor: Optional[int] = None,
+        replication_factor: int = 0,
         zone_map: Optional[ZoneMap] = None,
     ):
         if flavour not in ("dynamic", "static", "isolated", "none"):
@@ -78,22 +77,18 @@ class Cluster:
         self.lwg_config = lwg_config or LwgConfig()
         self.vsync_config = vsync_config or VsyncConfig()
         self.name_server_ids = [f"ns{i}" for i in range(num_name_servers)]
-        # Replica-set scope (PROTOCOLS.md §18): ``replication_factor``
-        # turns on LWG-name sharding — each shard lives on ``rf`` of the
-        # name servers, chosen by rendezvous hashing.  ``None`` keeps the
-        # legacy fully-replicated deployment, bit-identical to before.
-        self.shard_map: Optional[ShardMap] = None
-        if replication_factor is not None:
-            self.shard_map = ShardMap(self.name_server_ids, replication_factor)
-        # Per-node durable stores (crash-recovery state).  ``durable=False``
-        # restores the legacy volatile behaviour where a recovered node
-        # keeps its in-memory database and counters.
+        # Replica-set scope (PROTOCOLS.md §18): each LWG-name shard
+        # lives on ``replication_factor`` of the name servers, chosen by
+        # rendezvous hashing.  0 means the whole roster — full
+        # replication, every shard owned by every server in roster order.
+        self.shard_map = ShardMap(
+            self.name_server_ids, replication_factor or len(self.name_server_ids)
+        )
+        # Per-node durable stores (crash-recovery state).
         self.stores: Dict[NodeId, DurableStore] = {}
         self.name_servers: Dict[NodeId, NameServer] = {
             node: NameServer(
-                self.env, node, peers=self.name_server_ids,
-                store=self._make_store(node) if durable else None,
-                shard_map=self.shard_map,
+                self.env, node, self.shard_map, store=self._make_store(node)
             )
             for node in self.name_server_ids
         }
@@ -114,14 +109,14 @@ class Cluster:
         for node in self.process_ids:
             stack = ProtocolStack(
                 self.env, node, self.addressing, self.vsync_config,
-                node_store=self._make_store(node) if durable else None,
+                node_store=self._make_store(node),
                 zone_directory=self.zone_directory,
             )
             self.stacks[node] = stack
             if flavour == "none":
                 self.services[node] = NoLwgService(stack)
                 continue
-            client = NamingClient(stack, self.name_server_ids, shard_map=self.shard_map)
+            client = NamingClient(stack, self.shard_map)
             self.clients[node] = client
             if flavour == "dynamic":
                 self.services[node] = make_dynamic_service(stack, client, self.lwg_config)

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim import SimEnv
+from repro.sim import SimRuntime
 
 
 @pytest.fixture
-def env() -> SimEnv:
+def env() -> SimRuntime:
     """A fresh deterministic simulation environment."""
-    return SimEnv.create(seed=42)
+    return SimRuntime.create(seed=42)

@@ -182,11 +182,3 @@ def test_buffers_are_per_hwg():
     packer.release("h1")
     assert [hwg for hwg, _ in channel.sent] == ["h3", "h1"]
     assert packer.pending_entries("h2") == 1
-
-
-def test_flush_all_covers_every_hwg():
-    channel, packer = busy_packer(hwgs=("h1", "h2"))
-    packer.enqueue("h2", data(payload="b"))
-    packer.enqueue("h1", data(payload="a"))
-    packer.flush_all()
-    assert [hwg for hwg, _ in channel.sent] == ["h1", "h2"]

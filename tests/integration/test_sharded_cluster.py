@@ -46,7 +46,7 @@ def settled(cluster, groups, members_of):
 
 def test_sharded_cluster_builds_shard_map():
     cluster = make_cluster()
-    assert cluster.shard_map is not None
+    assert not cluster.shard_map.fully_replicated
     for server in cluster.name_servers.values():
         assert server.owned is not None
         assert len(server.owned) < 256  # a strict subset per server
@@ -58,9 +58,12 @@ def test_rf_covering_roster_stays_fully_replicated():
     cluster = Cluster(
         num_processes=1, seed=3, num_name_servers=2, replication_factor=2
     )
-    # rf >= roster: servers behave exactly like the legacy deployment.
+    # rf >= roster: every server owns every shard.
     for server in cluster.name_servers.values():
         assert server.owned is None
+    # The default deployment is the same full replication (rf = n).
+    default = Cluster(num_processes=1, seed=3, num_name_servers=2)
+    assert default.shard_map.fully_replicated
 
 
 def test_sharded_groups_converge_and_pass_checkers():

@@ -4,7 +4,13 @@ from types import SimpleNamespace
 
 from tests.helpers import run_until
 
-from repro.naming import MappingRecord, NameServer, NamingClient, databases_consistent
+from repro.naming import (
+    MappingRecord,
+    NameServer,
+    NamingClient,
+    ShardMap,
+    databases_consistent,
+)
 from repro.naming.client import RPC_BACKOFF_CAP_US, RPC_TIMEOUT_US
 from repro.sim import SECOND
 from repro.vsync import GroupAddressing, ProtocolStack
@@ -12,11 +18,11 @@ from repro.vsync.view import ViewId
 
 
 def setup(env, num_servers=2, clients=("p0",)):
-    server_ids = [f"ns{i}" for i in range(num_servers)]
-    servers = {i: NameServer(env, i, peers=server_ids) for i in server_ids}
+    shard_map = ShardMap([f"ns{i}" for i in range(num_servers)], num_servers)
+    servers = {i: NameServer(env, i, shard_map) for i in shard_map.servers}
     addressing = GroupAddressing()
     stacks = {c: ProtocolStack(env, c, addressing) for c in clients}
-    naming_clients = {c: NamingClient(stacks[c], server_ids) for c in clients}
+    naming_clients = {c: NamingClient(stacks[c], shard_map) for c in clients}
     return servers, stacks, naming_clients
 
 
@@ -129,7 +135,7 @@ class _BareStack:
 
 def test_retry_timeout_doubles_up_to_cap(env):
     stack = _BareStack(env, "p0")
-    client = NamingClient(stack, ["ns0", "ns1"])
+    client = NamingClient(stack, ShardMap(["ns0", "ns1"], 2))
     client.read("lwg:a", lambda records: None)
     for _ in range(7):
         stack.timers[-1][1]()  # the attempt times out: retry

@@ -3,29 +3,20 @@
 from tests.helpers import run_until
 
 from repro.naming import MappingRecord, NameServer, NamingClient, ShardMap
+from repro.naming.messages import NsRequest, NsResponse
 from repro.naming.sharding import shard_of_lwg
 from repro.sim import SECOND
 from repro.vsync import GroupAddressing, ProtocolStack
 from repro.vsync.view import ViewId
 
 
-def setup(env, num_servers=4, replication_factor=2, clients=("p0",),
-          sharded_clients=True):
+def setup(env, num_servers=4, replication_factor=2, clients=("p0",)):
     server_ids = [f"ns{i}" for i in range(num_servers)]
     shard_map = ShardMap(server_ids, replication_factor)
-    servers = {
-        i: NameServer(env, i, peers=server_ids, shard_map=shard_map)
-        for i in server_ids
-    }
+    servers = {i: NameServer(env, i, shard_map) for i in server_ids}
     addressing = GroupAddressing()
     stacks = {c: ProtocolStack(env, c, addressing) for c in clients}
-    naming_clients = {
-        c: NamingClient(
-            stacks[c], server_ids,
-            shard_map=shard_map if sharded_clients else None,
-        )
-        for c in clients
-    }
+    naming_clients = {c: NamingClient(stacks[c], shard_map) for c in clients}
     return shard_map, servers, naming_clients
 
 
@@ -88,27 +79,34 @@ def test_client_fails_over_when_replica_dies_mid_request(env):
     assert servers[survivor].db.live_records("lwg:a")
 
 
-def test_legacy_client_requests_are_forwarded_to_owners(env):
-    # A map-less client sprays the whole roster; non-owners must relay
-    # to the replica set and the owner answers the client directly.
-    shard_map, servers, clients = setup(env, sharded_clients=False)
+def test_requests_at_non_owners_are_forwarded_to_owners(env):
+    # A request that lands on a non-owner (the client's roster fallback)
+    # is relayed to the replica set, and the owner answers the client
+    # directly.
+    shard_map, servers, clients = setup(env)
     client = clients["p0"]
-    # Pick an LWG whose legacy first-choice server is NOT an owner.
-    lwg = next(
-        name
-        for name in (f"lwg:{i}" for i in range(64))
-        if client.servers[client._server_offset % len(client.servers)]
-        not in shard_map.owners_for_lwg(name)
+    lwg = "lwg:a"
+    owners = shard_map.owners_for_lwg(lwg)
+    non_owner = next(node for node in servers if node not in owners)
+    answered_by = []
+
+    def spy(src, msg):
+        if isinstance(msg, NsResponse):
+            answered_by.append(msg.server)
+        return False
+
+    client.stack.extra_handlers.insert(0, spy)
+    request = NsRequest(
+        request_id=1, client="p0", op="set", lwg=lwg,
+        record=rec(client, lwg, ViewId("p0", 1), "hwg:1"),
     )
-    replies = []
-    client.set(
-        rec(client, lwg, ViewId("p0", 1), "hwg:1"),
-        on_reply=lambda records: replies.append(records),
-    )
-    assert run_until(env, lambda: bool(replies), timeout_s=5)
-    assert sum(s.requests_forwarded for s in servers.values()) >= 1
+    client.stack.send(non_owner, request, request.size_bytes())
+    assert run_until(env, lambda: bool(answered_by), timeout_s=5)
+    assert answered_by[0] in owners
+    assert servers[non_owner].requests_forwarded == 1
+    assert servers[non_owner].requests_served == 0
     env.sim.run_until(env.sim.now + 2 * SECOND)
-    assert holders(servers, lwg) == sorted(shard_map.owners_for_lwg(lwg))
+    assert holders(servers, lwg) == sorted(owners)
 
 
 def test_scoped_gossip_converges_owners_after_partition(env):

@@ -51,8 +51,8 @@ def test_rf_larger_than_roster_degenerates_to_full_replication():
     shard_map = ShardMap(roster(3), replication_factor=5)
     assert shard_map.fully_replicated
     for shard in shard_map.shards:
-        assert set(shard_map.owners(shard)) == set(roster(3))
-    # Full replication keeps the legacy whole-tree anti-entropy scope.
+        assert shard_map.owners(shard) == tuple(roster(3))
+    # Full replication reconciles over the whole tree.
     assert shard_map.scope("ns0", "ns1") == ("",)
 
 

@@ -87,10 +87,3 @@ def test_blank_lines_are_skipped(tmp_path):
     tracer.to_jsonl(path)
     path.write_text(path.read_text() + "\n\n")
     assert len(Tracer.from_jsonl(path).records) == 1
-
-
-def test_round_trip_via_sim_shim_import(tmp_path):
-    # The relocated module stays importable from its old home.
-    from repro.sim.trace import Tracer as ShimTracer
-
-    assert ShimTracer is Tracer

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim import LinkModel, Network, RngRegistry, SimEnv, Simulation
+from repro.runtime import RngRegistry
+from repro.sim import LinkModel, Network, SimRuntime, Simulation
 
 
 def make_net(seed=0, **link_kwargs):

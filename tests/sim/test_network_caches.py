@@ -6,7 +6,8 @@ points (attach/detach, set_partitions/heal) and the per-receiver
 accounting the fan-out rewrite introduced.
 """
 
-from repro.sim import LinkModel, Network, RngRegistry, Simulation
+from repro.runtime import RngRegistry
+from repro.sim import LinkModel, Network, Simulation
 
 
 def make_net(seed=0, **link_kwargs):

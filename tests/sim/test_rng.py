@@ -1,6 +1,6 @@
 """Tests for the stream-split RNG registry."""
 
-from repro.sim import RngRegistry
+from repro.runtime import RngRegistry
 
 
 def test_same_seed_same_stream_sequence():

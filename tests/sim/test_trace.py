@@ -1,6 +1,6 @@
 """Tests for the structured tracer."""
 
-from repro.sim import NullTracer, Tracer
+from repro.runtime import NullTracer, Tracer
 
 
 def make_tracer(keep=True):

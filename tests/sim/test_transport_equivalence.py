@@ -15,7 +15,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from tests.helpers import CountingDict
 
-from repro.sim import ReliableTransport, Simulation, SimEnv
+from repro.sim import ReliableTransport, Simulation, SimRuntime
 from repro.sim.transport import _PeerState, _Segment
 
 PEERS = ("b", "c")
@@ -115,7 +115,7 @@ TestTransportAgainstScans = TransportAgainstScans.TestCase
 
 
 def test_acked_sends_never_scan_unacked():
-    env = SimEnv.create(seed=0)
+    env = SimRuntime.create(seed=0)
     delivered = []
     sender = ReliableTransport(env, "a", None)
     receiver = ReliableTransport(env, "b", lambda src, p, s: delivered.append(p))

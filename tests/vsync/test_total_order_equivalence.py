@@ -15,7 +15,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 
 from tests.helpers import CountingDict, FakeHost, feed_own_multicasts
 
-from repro.sim import SimEnv
+from repro.sim import SimRuntime
 from repro.vsync.messages import Nack, Ordered, StabilityAnnounce
 from repro.vsync.total_order import NACK_DELAY_US, OrderedChannel
 from repro.vsync.view import View, ViewId
@@ -95,7 +95,7 @@ class ChannelAgainstScans(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.env = SimEnv.create(seed=0)
+        self.env = SimRuntime.create(seed=0)
         self.hosts = (FakeHost(self.env, "p1"), FakeHost(self.env, "p1"))
         self.fast = OrderedChannel(self.hosts[0])
         self.ref = ScanningChannel(self.hosts[1])
