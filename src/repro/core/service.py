@@ -498,13 +498,18 @@ class LwgService:
             self._on_lwg_data(hwg, entry)
 
     def _on_lwg_data(self, hwg: HwgId, message: LwgData) -> None:
-        local = self.table.local(message.lwg)
+        local = self.table.locals.get(message.lwg)
         if local is None or not local.is_member or local.hwg != hwg:
             self.stats.data_filtered += 1
             return
-        assert local.view is not None
-        if message.view_id == local.view.view_id:
-            if local.awaiting_state_for == local.view.view_id:
+        view = local.view
+        assert view is not None
+        view_id = view.view_id
+        # ``is`` first: the message carries the installed view's id object
+        # almost always, and then no ``ViewId.__eq__`` call is needed.
+        if message.view_id is view_id or message.view_id == view_id:
+            awaiting = local.awaiting_state_for
+            if awaiting is not None and awaiting == view_id:
                 # Fresh joiner: hold data until the state snapshot lands.
                 local.state_buffer.append(
                     (message.sender, message.payload, message.payload_size)
@@ -512,13 +517,13 @@ class LwgService:
                 return
             self.stats.data_delivered += 1
             local.delivered += 1
-            if message.sender == local.coordinator():
+            if message.sender == view.members[0]:
                 local.last_coordinator_heard = self.env.now
             if self.env.tracer.enabled("lwg"):
                 self.trace(
                     "lwg_data_delivered",
                     lwg=message.lwg,
-                    view=str(local.view.view_id),
+                    view=str(view_id),
                     sender=message.sender,
                 )
             local.listener.on_data(

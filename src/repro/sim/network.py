@@ -21,7 +21,7 @@ Delivery callbacks are registered per node via :meth:`Network.attach`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..runtime.interfaces import DeliveryCallback, NodeId
 from ..runtime.rng import RngRegistry
@@ -114,6 +114,11 @@ class Network:
         self.shared_medium = shared_medium
         self.tracer = tracer or Tracer(clock=lambda: sim.now, keep_records=False)
         self._rng = rng.stream("network")
+        # ``randint(0, j)`` is ``_randbelow(j + 1)`` on the same stream;
+        # the per-delivery jitter draw calls it directly (one Python
+        # frame instead of three).  tests/sim/test_network_fast_paths.py
+        # pins the equivalence against the running interpreter.
+        self._randbelow: Callable[[int], int] = getattr(self._rng, "_randbelow")
         self._callbacks: Dict[NodeId, DeliveryCallback] = {}
         self._alive: Dict[NodeId, bool] = {}
         self._partition_of: Dict[NodeId, int] = {}
@@ -242,40 +247,36 @@ class Network:
     # ------------------------------------------------------------------
     # Transmission
     # ------------------------------------------------------------------
-    def _transmission_start(self, src: NodeId, size: int) -> Tuple[int, int]:
-        """Reserve the medium; return (start_time, end_time) of serialization."""
+    def _transmission_start(self, src: NodeId, size: int) -> int:
+        """Reserve the medium; return the time serialization ends."""
         serialization = self.link.serialization_us(size)
+        now = self.sim.now
         if self.shared_medium:
-            start = max(self.sim.now, self._medium_free_at)
-            end = start + serialization
+            start = self._medium_free_at
+            end = (start if start > now else now) + serialization
             self._medium_free_at = end
         else:
-            start = max(self.sim.now, self._egress_free_at.get(src, 0))
-            end = start + serialization
+            start = self._egress_free_at.get(src, 0)
+            end = (start if start > now else now) + serialization
             self._egress_free_at[src] = end
-        return start, end
-
-    def _delivery_time(self, dst: NodeId, wire_done: int) -> int:
-        """Arrival + receiver-processing completion time for one delivery."""
-        jitter = self._rng.randint(0, self.link.jitter_us) if self.link.jitter_us else 0
-        arrival = wire_done + self.link.latency_us + jitter
-        rx_start = max(arrival, self._rx_free_at.get(dst, 0))
-        rx_done = rx_start + self.link.rx_cost_us
-        self._rx_free_at[dst] = rx_done
-        return rx_done
+        return end
 
     def _deliver(self, src: NodeId, dst: NodeId, payload: Any, size: int) -> None:
         # Re-check reachability at delivery: a partition or crash that
-        # happened while the message was in flight drops it.
-        if not self.reachable(src, dst):
-            self.messages_dropped += 1
-            return
-        callback = self._callbacks.get(dst)
-        if callback is None:
+        # happened while the message was in flight drops it.  This is
+        # ``reachable`` inlined; an alive node is always attached, so
+        # its callback exists.
+        alive = self._alive
+        partition_of = self._partition_of
+        if not (
+            alive.get(src, False)
+            and alive.get(dst, False)
+            and partition_of.get(src) == partition_of.get(dst)
+        ):
             self.messages_dropped += 1
             return
         self.messages_delivered += 1
-        callback(src, payload, size)
+        self._callbacks[dst](src, payload, size)
 
     def send(self, src: NodeId, dst: NodeId, payload: Any, size: int = 256) -> bool:
         """Send a unicast message.  Returns False if dropped at the source."""
@@ -284,13 +285,33 @@ class Network:
         if not self.reachable(src, dst):
             self.messages_dropped += 1
             return False
-        if self.link.loss_probability and self._rng.random() < self.link.loss_probability:
+        link = self.link
+        if link.loss_probability and self._rng.random() < link.loss_probability:
             self.messages_dropped += 1
             return False
-        _, wire_done = self._transmission_start(src, size)
-        done = self._delivery_time(dst, wire_done)
+        # The delivery-time model, inlined as in ``multicast`` (same
+        # arithmetic, same RNG draws in the same order).
+        arrival = self._transmission_start(src, size) + link.latency_us
+        if link.jitter_us:
+            arrival += self._randbelow(link.jitter_us + 1)
+        rx_free_at = self._rx_free_at
+        rx_start = rx_free_at.get(dst, 0)
+        if arrival > rx_start:
+            rx_start = arrival
+        done = rx_start + link.rx_cost_us
+        rx_free_at[dst] = done
+        pool = self._delivery_pool
+        if pool:
+            event = pool.pop()
+        else:
+            event = _Delivery()
+            event.net = self
+        event.src = src
+        event.dst = dst
+        event.payload = payload
+        event.size = size
         self.deliveries_scheduled += 1
-        self.sim.schedule_at(done, self._delivery_event(src, dst, payload, size))
+        self.sim.schedule_at(done, event)
         return True
 
     def multicast(
@@ -308,14 +329,15 @@ class Network:
         if not self._alive.get(src, False):
             self.messages_dropped += 1
             return 0
-        _, wire_done = self._transmission_start(src, size)
+        wire_done = self._transmission_start(src, size)
         scheduled = 0
         # Iterate destinations in sorted order: callers often pass sets,
         # and the per-receiver jitter draws below must not depend on a
         # hash-randomized iteration order or runs stop being replayable
         # across interpreter processes.  The sort is memoized per distinct
         # destination set — protocol layers multicast to the same view
-        # membership over and over.
+        # membership over and over, and pass it as one frozenset per view
+        # (``frozenset`` of a frozenset is the object itself, hash cached).
         key = frozenset(dsts)
         order = self._sorted_dsts.get(key)
         if order is None:
@@ -325,40 +347,43 @@ class Network:
             order = self._sorted_dsts[key] = tuple(sorted(key))
         else:
             self.fanout_memo_hits += 1
-        # The per-destination body below is ``_delivery_time`` +
-        # ``reachable`` + ``_delivery_event`` inlined with hoisted
-        # attribute lookups: the fan-out loop is the fabric's hottest
-        # code.  The logic (including the order of RNG draws) must stay
-        # exactly equivalent to the helper methods or replays diverge.
+        # The per-destination body below is the delivery-time model of
+        # ``send`` plus ``reachable`` inlined with hoisted attribute
+        # lookups: the fan-out loop is the fabric's hottest code.  The
+        # logic (including the order of RNG draws) must stay exactly
+        # equivalent to ``send`` or replays diverge.
         link = self.link
         loss = link.loss_probability
         jitter_us = link.jitter_us
         latency_us = link.latency_us
         rx_cost_us = link.rx_cost_us
-        rng = self._rng
+        randbelow = self._randbelow
+        random = self._rng.random
+        jitter_span = jitter_us + 1
         alive = self._alive
         partition_of = self._partition_of
         src_block = partition_of.get(src)
         rx_free_at = self._rx_free_at
         pool = self._delivery_pool
         schedule_at = self.sim.schedule_at
+        now = self.sim.now
         dropped = 0
         for dst in order:
             if dst == src:
                 # Loopback delivery skips the network but keeps rx cost.
-                arrival = self.sim.now + latency_us
+                arrival = now + latency_us
                 if jitter_us:
-                    arrival += rng.randint(0, jitter_us)
+                    arrival += randbelow(jitter_span)
             else:
                 if not alive.get(dst, False) or partition_of.get(dst) != src_block:
                     dropped += 1
                     continue
-                if loss and rng.random() < loss:
+                if loss and random() < loss:
                     dropped += 1
                     continue
                 arrival = wire_done + latency_us
                 if jitter_us:
-                    arrival += rng.randint(0, jitter_us)
+                    arrival += randbelow(jitter_span)
             rx_start = rx_free_at.get(dst, 0)
             if arrival > rx_start:
                 rx_start = arrival
@@ -378,22 +403,6 @@ class Network:
         self.messages_dropped += dropped
         self.deliveries_scheduled += scheduled
         return scheduled
-
-    def _delivery_event(
-        self, src: NodeId, dst: NodeId, payload: Any, size: int
-    ) -> "_Delivery":
-        """A filled-in (pooled) delivery event for the scheduler."""
-        pool = self._delivery_pool
-        if pool:
-            event = pool.pop()
-        else:
-            event = _Delivery()
-            event.net = self
-        event.src = src
-        event.dst = dst
-        event.payload = payload
-        event.size = size
-        return event
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -54,6 +54,24 @@ class _PeerState:
     peer_incarnation: int = 0
 
 
+class _Retry:
+    """The retransmission timer of one segment.
+
+    A slotted callable instead of a closure per transmitted segment:
+    cheaper to build, and re-armed as the same object after each retry.
+    """
+
+    __slots__ = ("transport", "dst", "seq")
+
+    def __init__(self, transport: "ReliableTransport", dst: NodeId, seq: int):
+        self.transport = transport
+        self.dst = dst
+        self.seq = seq
+
+    def __call__(self) -> None:
+        self.transport._retry(self)
+
+
 class ReliableTransport:
     """FIFO reliable unicast channels from one node to every peer.
 
@@ -88,9 +106,10 @@ class ReliableTransport:
         self.incarnation = 0
 
     def _peer(self, peer: NodeId) -> _PeerState:
-        if peer not in self._peers:
-            self._peers[peer] = _PeerState()
-        return self._peers[peer]
+        state = self._peers.get(peer)
+        if state is None:
+            state = self._peers[peer] = _PeerState()
+        return state
 
     def stop(self) -> None:
         """Stop all retransmission activity (owner crashed)."""
@@ -146,28 +165,31 @@ class ReliableTransport:
         return min(self.retransmit_timeout_us << attempts, self.MAX_BACKOFF_US)
 
     def _arm_retransmit(self, dst: NodeId, seq: int) -> None:
-        def retry() -> None:
-            if self._stopped:
-                return
-            state = self._peer(dst)
-            entry = state.unacked.get(seq)
-            if entry is None:
-                return  # acked meanwhile
-            payload, size, attempts = entry
-            if attempts >= self.max_retries:
-                del state.unacked[seq]
-                self.gave_up += 1
-                self._drain_queue(dst)
-                return
-            state.unacked[seq] = (payload, size, attempts + 1)
-            self.retransmissions += 1
-            segment = _Segment(
-                "data", seq, payload, size, self._sender_floor(state), self.incarnation
-            )
-            self.env.fabric.send(self.node, dst, segment, size)
-            self.env.scheduler.schedule(self._backoff(attempts + 1), retry)
+        self.env.scheduler.schedule(self._backoff(0), _Retry(self, dst, seq))
 
-        self.env.scheduler.schedule(self._backoff(0), retry)
+    def _retry(self, retry: "_Retry") -> None:
+        """One retransmission timer fired for ``(retry.dst, retry.seq)``."""
+        if self._stopped:
+            return
+        dst = retry.dst
+        seq = retry.seq
+        state = self._peer(dst)
+        entry = state.unacked.get(seq)
+        if entry is None:
+            return  # acked meanwhile
+        payload, size, attempts = entry
+        if attempts >= self.max_retries:
+            del state.unacked[seq]
+            self.gave_up += 1
+            self._drain_queue(dst)
+            return
+        state.unacked[seq] = (payload, size, attempts + 1)
+        self.retransmissions += 1
+        segment = _Segment(
+            "data", seq, payload, size, self._sender_floor(state), self.incarnation
+        )
+        self.env.fabric.send(self.node, dst, segment, size)
+        self.env.scheduler.schedule(self._backoff(attempts + 1), retry)
 
     def _drain_queue(self, dst: NodeId) -> None:
         state = self._peer(dst)
@@ -226,7 +248,8 @@ class ReliableTransport:
             for seq in range(state.acked_up_to + 1, up_to + 1):
                 state.unacked.pop(seq, None)
             state.acked_up_to = up_to
-            self._drain_queue(src)
+            if self._queued.get(src):
+                self._drain_queue(src)
 
     @staticmethod
     def is_segment(payload: Any) -> bool:

@@ -64,6 +64,7 @@ class FailureDetector:
         timeout_us: int = 350_000,
     ):
         self.env = env
+        self._clock = env.clock
         self.node = node
         self._send_multicast = send_multicast
         self.heartbeat_period_us = heartbeat_period_us
@@ -133,7 +134,7 @@ class FailureDetector:
 
     def on_heartbeat(self, src: NodeId) -> None:
         """Record an incoming heartbeat (or any traffic) from ``src``."""
-        self._last_heard[src] = self.env.now
+        self._last_heard[src] = self._clock.now
         if src in self._suspected:
             self._suspected.discard(src)
             self._notify(src, False)

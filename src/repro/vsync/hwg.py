@@ -15,7 +15,7 @@ another merge".
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..runtime.interfaces import NodeId
 from .flush import FlushParticipant
@@ -91,6 +91,9 @@ class HwgEndpoint:
         self.listener = listener or HwgListener()
         self._state = EndpointState.IDLE
         self.current_view: Optional[View] = None
+        #: ``current_view``'s members as one frozenset per view: the
+        #: fabric's fan-out memo key for every ordered multicast.
+        self._view_members: FrozenSet[NodeId] = frozenset()
         self.known_ancestors: Set[ViewId] = set()
         self.channel = OrderedChannel(self)
         self.participant = FlushParticipant(self)
@@ -203,7 +206,7 @@ class HwgEndpoint:
         others = self.addressing.subscribers(self.group) - {self.node}
         if others:
             probe = JoinProbe(group=self.group, joiner=self.node)
-            self.stack.raw_multicast(others, probe, probe.size_bytes())
+            self.stack.multicast(others, probe, probe.size_bytes())
         self._join_timer = self.stack.set_timer(
             self.stack.config.join_probe_timeout_us, self._probe_timeout
         )
@@ -362,6 +365,7 @@ class HwgEndpoint:
             self.known_ancestors.add(old.view_id)
         self.known_ancestors.update(view.parents)
         self.current_view = view
+        self._view_members = frozenset(view.members)
         self.participant.reset()
         self.vcm.round_completed()
         self.channel.install_view(view, dedup)
@@ -444,7 +448,7 @@ class HwgEndpoint:
             targets = direct - {self.node}
         if targets:
             msg = self._presence_message()
-            self.stack.raw_multicast(targets, msg, msg.size_bytes())
+            self.stack.multicast(targets, msg, msg.size_bytes())
 
     # ------------------------------------------------------------------
     # Helpers used by sub-machines (host interface)
@@ -454,7 +458,7 @@ class HwgEndpoint:
 
     def multicast_view(self, msg: VsyncMessage, size: int) -> None:
         assert self.current_view is not None
-        self.stack.raw_multicast(set(self.current_view.members), msg, size)
+        self.stack.multicast(self._view_members, msg, size)
 
     def deliver_data(self, sender: NodeId, payload: Any, size: int) -> None:
         self.listener.on_data(self.group, sender, payload, size)

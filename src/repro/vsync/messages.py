@@ -225,10 +225,16 @@ class StabilityAnnounce(VsyncMessage):
 
     Everyone may prune their retransmission/flush logs up to the floor:
     no flush can ever need a message below the minimum delivered prefix.
+
+    ``top`` is the end of the sequencer's own delivered prefix.  A member
+    whose prefix ends below it NACKs the difference: when the *last*
+    ``Ordered`` of a burst is lost, no later sequence number ever shows
+    the gap, and this is the only signal that one exists.
     """
 
     view_id: ViewId = ViewId("", 0)
     floor: int = -1
+    top: int = -1
 
     def size_bytes(self) -> int:
         return HEADER_BYTES

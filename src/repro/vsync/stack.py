@@ -21,16 +21,18 @@ from typing import Any, Dict, Iterable, Optional, Set
 from ..naming.persistence import DurableStore
 from ..runtime.interfaces import Addressing, NodeId, Runtime
 from ..sim.process import Process
-from ..sim.transport import ReliableTransport
+from ..sim.transport import ReliableTransport, _Segment
 from .failure_detector import FailureDetector, GossipFailureDetector
 from .hwg import HwgEndpoint, HwgListener
 from .locator import GroupAddressing
 from .messages import (
     Heartbeat,
     LivenessDigest,
+    Ordered,
     Presence,
     ProbePing,
     ProbeRequest,
+    Publish,
     VsyncMessage,
     ZoneSummary,
 )
@@ -233,9 +235,6 @@ class ProtocolStack(Process):
             return
         self.transport.send(dst, msg, size)
 
-    def raw_multicast(self, dsts: Set[NodeId], msg: VsyncMessage, size: int) -> None:
-        self.multicast(dsts, msg, size)
-
     def _fd_multicast(self, peers: Set[NodeId], msg: Heartbeat, size: int) -> None:
         self.multicast(peers, msg, msg.size_bytes())
 
@@ -244,12 +243,30 @@ class ProtocolStack(Process):
     # ------------------------------------------------------------------
     def on_message(self, src: NodeId, msg: Any, size: int) -> None:
         self.fd.on_heartbeat(src)  # any traffic is evidence of liveness
-        if ReliableTransport.is_segment(msg):
+        cls = type(msg)
+        if cls is Ordered:
+            # The data path's hottest message goes straight to its
+            # channel: no zone or registered handler ever claims one
+            # (tests/vsync/test_stack_dispatch.py holds every message
+            # type to the handler ``_dispatch`` picks).
+            endpoint = self.endpoints.get(msg.group)
+            if endpoint is not None:
+                endpoint.channel.on_ordered(msg)
+            return
+        if cls is Heartbeat:
+            return
+        if cls is _Segment:
             self.transport.on_segment(src, msg)
             return
         self._dispatch(src, msg)
 
     def _deliver_control(self, src: NodeId, msg: Any, size: int) -> None:
+        if type(msg) is Publish:
+            # Sequencer inbound data, routed like ``Ordered`` above.
+            endpoint = self.endpoints.get(msg.group)
+            if endpoint is not None:
+                endpoint.channel.on_publish(src, msg)
+            return
         self._dispatch(src, msg)
 
     def _dispatch(self, src: NodeId, msg: Any) -> None:
@@ -289,7 +306,11 @@ class ProtocolStack(Process):
         return False
 
     def register_handler(self, handler) -> None:
-        """Register ``handler(src, msg) -> bool`` for non-vsync traffic."""
+        """Register ``handler(src, msg) -> bool`` for non-vsync traffic.
+
+        Multicast ``Ordered`` and reliable ``Publish`` messages skip the
+        handlers (see ``on_message`` and ``_deliver_control``).
+        """
         self.extra_handlers.append(handler)
 
     # ------------------------------------------------------------------

@@ -72,6 +72,17 @@ class OrderedChannel:
         self.floors_piggybacked = 0
         self.standalone_acks = 0
         self.standalone_announces = 0
+        # Tail-loss repair.  A member learns from StabilityAnnounce.top
+        # that seqs up to ``_known_top`` exist and NACKs what it lacks.
+        # The sequencer re-announces while a member's fresh ack trails
+        # its delivered prefix on an idle channel (the first announce
+        # may itself have been lost); ``_tail_mark`` is when that prefix
+        # last moved or was last announced.
+        self._known_top = -1
+        self._member_acked_at: Dict[NodeId, int] = {}  # sequencer only
+        self._top_seen = -1  # sequencer only
+        self._tail_mark = 0  # sequencer only
+        self.tail_reannounces = 0
 
     # ------------------------------------------------------------------
     # View lifecycle
@@ -89,6 +100,10 @@ class OrderedChannel:
         self._member_delivered.clear()
         self._floor_distributed_upto = -1
         self._last_ack_sent_at = self.host.env.now
+        self._known_top = -1
+        self._member_acked_at.clear()
+        self._top_seen = -1
+        self._tail_mark = self._last_ack_sent_at
         # The carried floors are authoritative: the flush equalised every
         # continuing member to the branch cut (so a local floor can never
         # legitimately exceed the carried one), and a sender *missing*
@@ -169,6 +184,7 @@ class OrderedChannel:
         # read by the sequencer's floor computation.)
         if msg.acked_upto > self._member_delivered.get(msg.sender, -1):
             self._member_delivered[msg.sender] = msg.acked_upto
+        self._member_acked_at[msg.sender] = self.host.env.now
         if self.frozen or self.host.node != self.view.coordinator:
             return
         if msg.sender_seq <= self.dedup_floor.get(msg.sender, -1):
@@ -209,42 +225,61 @@ class OrderedChannel:
     # ------------------------------------------------------------------
     def on_ordered(self, msg: Ordered) -> None:
         """Receive an ordered message; deliver contiguously, NACK gaps."""
-        if self.view is None or msg.view_id != self.view.view_id:
+        view = self.view
+        if view is None:
+            return
+        # Members share the installed view's id object: ``is`` settles
+        # almost every check without a call to ``ViewId.__eq__``.
+        view_id = msg.view_id
+        if view_id is not view.view_id and view_id != view.view_id:
             return
         # Apply the piggybacked stability floor first — it is valid even
         # for duplicates and retransmissions (the monotone guard in
-        # _apply_floor discards stale floors from log retransmits).
-        self._apply_floor(msg.stable_floor)
+        # _apply_floor discards stale floors from log retransmits; it is
+        # tested here too, since the floor rarely moves).
+        if msg.stable_floor > self.stable_upto:
+            self._apply_floor(msg.stable_floor)
         if self.frozen:
             # Mid-flush: we already reported our delivery state, so any
             # delivery now would diverge from the branch-wide cut.  The
             # fill supplies everything at or below the cut; anything
             # above it is re-published by its sender in the next view.
             return
-        if msg.seq <= self.delivered_upto or msg.seq in self.log:
+        seq = msg.seq
+        log = self.log
+        if seq <= self.delivered_upto or seq in log:
             return
-        self.log[msg.seq] = msg
-        if msg.seq > self._held_top:
-            self._held_top = msg.seq
-        self._try_deliver()
-        if self.log_gap_exists() and not self._nack_armed:
+        log[seq] = msg
+        if seq > self._held_top:
+            self._held_top = seq
+        if seq == self.delivered_upto + 1:
+            # ``_try_deliver`` inlined: the in-order arrival is the
+            # common case, one frame fewer per delivery.
+            while seq in log:
+                self.delivered_upto = seq
+                self._deliver(log[seq])
+                seq = self.delivered_upto + 1
+        # ``log_gap_exists`` inlined.
+        if self._held_top > self.delivered_upto + 1 and not self._nack_armed:
             self._arm_nack()
 
     def _try_deliver(self) -> None:
-        while self.delivered_upto + 1 in self.log:
-            seq = self.delivered_upto + 1
-            msg = self.log[seq]
+        log = self.log
+        seq = self.delivered_upto + 1
+        while seq in log:
             self.delivered_upto = seq
-            self._deliver(msg)
+            self._deliver(log[seq])
+            seq = self.delivered_upto + 1
 
     def _deliver(self, msg: Ordered) -> None:
-        floor = self.dedup_floor.get(msg.sender, -1)
-        if msg.sender_seq > floor:
-            self.dedup_floor[msg.sender] = msg.sender_seq
-        if msg.sender == self.host.node:
+        host = self.host
+        sender = msg.sender
+        if msg.sender_seq > self.dedup_floor.get(sender, -1):
+            self.dedup_floor[sender] = msg.sender_seq
+        if sender == host.node:
             self.pending.pop(msg.sender_seq, None)
         self.delivered_count += 1
-        tracer = self.host.env.tracer
+        tracer = host.env.tracer
         # Hottest emit in the stack — one per delivered message.  The
         # ``enabled`` guard skips stringifying the view id and building
         # the kwargs dict when nobody watches the "hwg" category.
@@ -252,14 +287,14 @@ class OrderedChannel:
             tracer.emit(
                 "hwg",
                 "data_delivered",
-                node=self.host.node,
-                group=self.host.group,
+                node=host.node,
+                group=host.group,
                 view=str(msg.view_id),
                 seq=msg.seq,
-                sender=msg.sender,
+                sender=sender,
                 sender_seq=msg.sender_seq,
             )
-        self.host.deliver_data(msg.sender, msg.payload, msg.payload_size)
+        host.deliver_data(sender, msg.payload, msg.payload_size)
 
     def log_gap_exists(self) -> bool:
         """True if we hold out-of-order messages past a missing sequence.
@@ -278,13 +313,16 @@ class OrderedChannel:
             self._nack_armed = False
             if self.view is None or self.view.view_id != view_at_arm or self.frozen:
                 return
-            if not self.log_gap_exists():
+            # Missing: everything below the highest held seq, and up to
+            # the announced top.
+            missing_to = max(self._held_top - 1, self._known_top)
+            if missing_to <= self.delivered_upto:
                 return
             nack = Nack(
                 group=self.host.group,
                 view_id=self.view.view_id,
                 from_seq=self.delivered_upto + 1,
-                to_seq=self._held_top - 1,
+                to_seq=missing_to,
                 requester=self.host.node,
             )
             self.host.reliable_send(self.view.coordinator, nack)
@@ -317,15 +355,16 @@ class OrderedChannel:
         now = self.host.env.now
         if self.host.node == self.view.coordinator:
             self._compute_floor()
+            if self.delivered_upto != self._top_seen:
+                self._top_seen = self.delivered_upto
+                self._tail_mark = now
             if self.stable_upto > self._floor_distributed_upto:
                 self._floor_distributed_upto = self.stable_upto
                 self.standalone_announces += 1
-                announce = StabilityAnnounce(
-                    group=self.host.group,
-                    view_id=self.view.view_id,
-                    floor=self.stable_upto,
-                )
-                self.host.multicast_view(announce, announce.size_bytes())
+                self._announce(now)
+            elif self._tail_trails():
+                self.tail_reannounces += 1
+                self._announce(now)
         else:
             if now - self._last_ack_sent_at < self._ack_idle_timeout():
                 return  # a recent Publish already carried our progress
@@ -339,6 +378,38 @@ class OrderedChannel:
             )
             self.host.reliable_send(self.view.coordinator, ack)
 
+    def _announce(self, now: int) -> None:
+        """Sequencer: multicast the floor and the end of our prefix."""
+        assert self.view is not None
+        self._tail_mark = now
+        announce = StabilityAnnounce(
+            group=self.host.group,
+            view_id=self.view.view_id,
+            floor=self.stable_upto,
+            top=self.delivered_upto,
+        )
+        self.host.multicast_view(announce, announce.size_bytes())
+
+    def _tail_trails(self) -> bool:
+        """Sequencer: has a member acked below our prefix on an idle channel?
+
+        Only an ack received ``ack_idle_timeout_us`` after the prefix last
+        moved (or was last announced) counts: without loss, the member had
+        the prefix's last message long before it sent such an ack, unless
+        the medium queued that ack for longer than the timeout.  No pinned
+        fuzz run and no perfbench workload re-announces.
+        """
+        deadline = self._tail_mark + self._ack_idle_timeout()
+        top = self.delivered_upto
+        for member, acked_at in self._member_acked_at.items():
+            if (
+                acked_at > deadline
+                and member != self.host.node
+                and self._member_delivered.get(member, -1) < top
+            ):
+                return True
+        return False
+
     def on_stability_ack(self, msg: StabilityAck) -> None:
         """Sequencer: record a member's delivery progress."""
         if self.view is None or msg.view_id != self.view.view_id:
@@ -346,6 +417,7 @@ class OrderedChannel:
         previous = self._member_delivered.get(msg.member, -1)
         if msg.delivered_upto > previous:
             self._member_delivered[msg.member] = msg.delivered_upto
+        self._member_acked_at[msg.member] = self.host.env.now
 
     def _compute_floor(self) -> None:
         """Sequencer: recompute the stability floor and apply it locally.
@@ -377,10 +449,17 @@ class OrderedChannel:
         self.stable_upto = floor
 
     def on_stability_announce(self, msg: StabilityAnnounce) -> None:
-        """Prune the log up to the announced floor."""
+        """Prune the log up to the announced floor; NACK a lost tail."""
         if self.view is None or msg.view_id != self.view.view_id:
             return
         self._apply_floor(msg.floor)
+        if msg.top > self.delivered_upto and msg.top > self._known_top:
+            # The sequencer's Ordered messages left ahead of this
+            # announce, so without loss they are here by the time the
+            # NACK timer fires, and it sends nothing.
+            self._known_top = msg.top
+            if not self._nack_armed:
+                self._arm_nack()
 
     # ------------------------------------------------------------------
     # Flush support

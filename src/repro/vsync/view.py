@@ -31,6 +31,17 @@ class ViewId:
     coordinator: ProcessId
     seq: int
 
+    def __eq__(self, other: object) -> bool:
+        # The generated ``__eq__`` builds two field tuples per call, and
+        # the data path compares a message's view id with the installed
+        # one several times per delivery — almost always the very same
+        # object.  Hash and ordering stay the generated ones.
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.seq == other.seq and self.coordinator == other.coordinator  # type: ignore[attr-defined]
+
     def __str__(self) -> str:
         return f"{self.coordinator}#{self.seq}"
 

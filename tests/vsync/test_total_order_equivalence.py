@@ -37,9 +37,10 @@ class ScanningChannel(OrderedChannel):
             self._nack_armed = False
             if self.view is None or self.view.view_id != view_at_arm or self.frozen:
                 return
-            if not self.log_gap_exists():
+            held = [s for s in self.log if s > self.delivered_upto + 1]
+            missing_to = max(max(held) - 1 if held else -1, self._known_top)
+            if missing_to <= self.delivered_upto:
                 return
-            missing_to = max(s for s in self.log if s > self.delivered_upto + 1) - 1
             nack = Nack(
                 group=self.host.group,
                 view_id=self.view.view_id,
@@ -135,9 +136,16 @@ class ChannelAgainstScans(RuleBasedStateMachine):
         msg = ordered(self.views[-2], seq, data.draw(st.integers(-1, 8)))
         self.both(lambda channel: channel.on_ordered(msg))
 
-    @rule(data=st.data())
-    def announce(self, data):
-        msg = StabilityAnnounce(group="g", view_id=self.view_id, floor=self.floor(data))
+    @rule(data=st.data(), ahead=st.integers(-2, 4))
+    def announce(self, data, ahead):
+        """A floor, plus the sequencer's top: ahead of our prefix when
+        the tail of the stream was lost to us."""
+        msg = StabilityAnnounce(
+            group="g",
+            view_id=self.view_id,
+            floor=self.floor(data),
+            top=self.ref.delivered_upto + ahead,
+        )
         self.both(lambda channel: channel.on_stability_announce(msg))
 
     @rule()

@@ -1,6 +1,10 @@
 """Tests for views, view identifiers and the genealogy DAG."""
 
+import operator
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.vsync import View, ViewGenealogy, ViewId, merge_member_order
 
@@ -13,6 +17,29 @@ def test_view_id_equality_and_order():
     assert vid("p0", 1) == vid("p0", 1)
     assert vid("p0", 1) < vid("p0", 2)
     assert vid("p0", 9) < vid("p1", 1)
+
+
+view_ids = st.builds(ViewId, st.sampled_from(["", "p0", "p1", "p10"]), st.integers(-1, 3))
+
+
+@given(a=view_ids, b=view_ids)
+def test_view_id_eq_hash_and_order_agree_with_field_tuples(a, b):
+    """``ViewId.__eq__`` is hand-written (identity fast path); it must
+    answer exactly what the generated one did: field-tuple comparison."""
+    ta, tb = (a.coordinator, a.seq), (b.coordinator, b.seq)
+    for op in (operator.eq, operator.ne, operator.lt, operator.le, operator.gt, operator.ge):
+        assert op(a, b) == op(ta, tb)
+    assert a == a and not (a != a)
+    if a == b:
+        assert hash(a) == hash(b)
+    assert hash(a) == hash(ViewId(a.coordinator, a.seq))
+
+
+@given(a=view_ids)
+def test_view_id_never_equals_another_type(a):
+    for other in (None, (a.coordinator, a.seq), str(a), a.seq):
+        assert a != other and other != a
+        assert not (a == other) and not (other == a)
 
 
 def test_view_id_str():
